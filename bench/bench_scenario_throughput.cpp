@@ -5,10 +5,11 @@
 // batch of independent what-if scenarios. This bench drives a mixed batch —
 // an SEB power sweep (Fig. 10), modal placement variants of the Fig. 2
 // avionics board, and FV slab heat-load variants — through
-// core::ScenarioRunner, sweeping the worker count and recording
-// scenarios/sec. Every scenario runs on its own ExecutionContext, so the
-// numbers also demonstrate the isolation contract: per-scenario counters
-// come back deterministic and identical at every worker count.
+// core::ScenarioService with dedup and the artifact cache off, sweeping the
+// worker count and recording scenarios/sec. Every scenario runs on its own
+// ExecutionContext, so the numbers also demonstrate the isolation contract:
+// per-scenario counters come back deterministic and identical at every
+// worker count.
 //
 // --smoke freezes a reduced batch at workers {1, 2} for the CI bench-smoke
 // job; the per-scenario counters land in the obs report under
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "core/qualification.hpp"
-#include "core/scenario_runner.hpp"
 #include "core/scenario_service.hpp"
 #include "core/seb.hpp"
 #include "fem/plate.hpp"
@@ -47,122 +47,165 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+// ---- worker sweep: bench-local graphs, plain batch semantics -----------
+//
+// Four graphs registered on the sweep services only, so the sweep keeps its
+// own solver paths and its frozen per-scenario counters: modal_scenario
+// runs PlateModel::solve_modal (the built-in modal_plate graph goes through
+// factorize_modal, which bumps fem.modal_factorizations), and qual_scenario
+// runs a whole qualification campaign, which no built-in graph does.
+
 /// SEB operating point at one sweep power (Fig. 10 ordinate, LHP chain).
-ac::ScenarioFn seb_scenario(double power_w, double tilt_deg) {
-  return [power_w, tilt_deg](aeropack::ExecutionContext&) {
-    const ac::SebModel seb{ac::SebDesign{}};
-    const ac::SebOperatingPoint op =
-        seb.solve(power_w, 295.15, ac::SebCooling::HeatPipesAndLhp, tilt_deg);
-    return std::map<std::string, double>{
-        {"dt_pcb_air", op.dt_pcb_air},
-        {"q_lhp_path", op.q_lhp_path},
-        {"t_pcb", op.t_pcb},
-    };
+///   loads: power_w; params: tilt_deg
+std::map<std::string, double> seb_scenario(const ac::ScenarioSpec& spec,
+                                           aeropack::ExecutionContext&) {
+  const ac::SebModel seb{ac::SebDesign{}};
+  const ac::SebOperatingPoint op = seb.solve(spec.loads.at("power_w"), 295.15,
+                                             ac::SebCooling::HeatPipesAndLhp,
+                                             spec.params.at("tilt_deg"));
+  return {
+      {"dt_pcb_air", op.dt_pcb_air},
+      {"q_lhp_path", op.q_lhp_path},
+      {"t_pcb", op.t_pcb},
   };
 }
 
 /// Fig. 2 style placement variant: the heavy component slides along the
 /// board, the fundamental frequency is the scenario output. Sparse modal
 /// path so the context's pool does the work.
-ac::ScenarioFn modal_scenario(double mass_x) {
-  return [mass_x](aeropack::ExecutionContext&) {
-    af::PlateModel board(0.16, 0.10, 1.6e-3, am::fr4(), 8, 5);
-    board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
-    board.add_smeared_mass(2.5);
-    board.add_point_mass(mass_x, 0.05, 0.18);
-    board.add_doubler(0.03, 0.13, 0.02, 0.08, 1.8);
-    af::ModalOptions opts;
-    opts.n_modes = 6;
-    opts.path = af::ModalPath::Sparse;
-    const af::PlateModalResult modes = board.solve_modal(opts);
-    return std::map<std::string, double>{
-        {"f1_hz", modes.frequencies_hz[0]},
-        {"f2_hz", modes.frequencies_hz[1]},
-    };
+///   params: mass_x
+std::map<std::string, double> modal_scenario(const ac::ScenarioSpec& spec,
+                                             aeropack::ExecutionContext&) {
+  af::PlateModel board(0.16, 0.10, 1.6e-3, am::fr4(), 8, 5);
+  board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
+  board.add_smeared_mass(2.5);
+  board.add_point_mass(spec.params.at("mass_x"), 0.05, 0.18);
+  board.add_doubler(0.03, 0.13, 0.02, 0.08, 1.8);
+  af::ModalOptions opts;
+  opts.n_modes = 6;
+  opts.path = af::ModalPath::Sparse;
+  const af::PlateModalResult modes = board.solve_modal(opts);
+  return {
+      {"f1_hz", modes.frequencies_hz[0]},
+      {"f2_hz", modes.frequencies_hz[1]},
   };
 }
 
 /// FV slab at one heat load: the qualification-campaign style thermal check.
-ac::ScenarioFn fv_scenario(double power_w) {
-  return [power_w](aeropack::ExecutionContext&) {
-    at::FvModel slab(at::FvGrid::uniform(0.1, 0.02, 0.01, 16, 4, 4));
-    slab.set_material(am::aluminum_6061());
-    slab.add_power({0, 16, 0, 4, 0, 4}, power_w);
-    slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(300.0));
-    slab.set_boundary(at::Face::XMax, at::BoundaryCondition::fixed(320.0));
-    const at::FvSolution sol = slab.solve_steady();
-    return std::map<std::string, double>{
-        {"t_max", sol.max_temperature},
-    };
+///   loads: power_w
+std::map<std::string, double> fv_scenario(const ac::ScenarioSpec& spec,
+                                          aeropack::ExecutionContext&) {
+  at::FvModel slab(at::FvGrid::uniform(0.1, 0.02, 0.01, 16, 4, 4));
+  slab.set_material(am::aluminum_6061());
+  slab.add_power({0, 16, 0, 4, 0, 4}, spec.loads.at("power_w"));
+  slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(300.0));
+  slab.set_boundary(at::Face::XMax, at::BoundaryCondition::fixed(320.0));
+  const at::FvSolution sol = slab.solve_steady();
+  return {
+      {"t_max", sol.max_temperature},
   };
 }
 
 /// Full qualification campaign for a board variant: the modal solve feeds
 /// the EUT's fundamental frequency, an FV solve feeds its junction
 /// temperature model, then the DO-160-style campaign runs end to end.
-ac::ScenarioFn qual_scenario(double thickness) {
-  return [thickness](aeropack::ExecutionContext&) {
-    af::PlateModel board(0.16, 0.10, thickness, am::fr4(), 8, 5);
-    board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
-    board.add_smeared_mass(2.5);
-    board.add_point_mass(0.05, 0.05, 0.18);
-    af::ModalOptions opts;
-    opts.n_modes = 1;
-    opts.path = af::ModalPath::Sparse;
-    const double f1 = board.solve_modal(opts).frequencies_hz[0];
+///   params: thickness
+std::map<std::string, double> qual_scenario(const ac::ScenarioSpec& spec,
+                                            aeropack::ExecutionContext&) {
+  const double thickness = spec.params.at("thickness");
+  af::PlateModel board(0.16, 0.10, thickness, am::fr4(), 8, 5);
+  board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
+  board.add_smeared_mass(2.5);
+  board.add_point_mass(0.05, 0.05, 0.18);
+  af::ModalOptions opts;
+  opts.n_modes = 1;
+  opts.path = af::ModalPath::Sparse;
+  const double f1 = board.solve_modal(opts).frequencies_hz[0];
 
-    ac::EquipmentUnderTest eut;
-    eut.name = "board";
-    eut.fundamental_frequency = f1;
-    eut.board_thickness = thickness;
-    eut.worst_junction_at_ambient = [](double ambient) {
-      at::FvModel slab(at::FvGrid::uniform(0.1, 0.02, 0.01, 12, 3, 3));
-      slab.set_material(am::aluminum_6061());
-      slab.add_power({0, 12, 0, 3, 0, 3}, 6.0);
-      slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(ambient));
-      return slab.solve_steady().max_temperature;
-    };
-    const ac::CampaignReport report = ac::run_campaign(eut);
-    double min_margin = 1e300;
-    for (const ac::TestResult& r : report.results) min_margin = std::min(min_margin, r.margin);
-    return std::map<std::string, double>{
-        {"f1_hz", f1},
-        {"all_passed", report.all_passed ? 1.0 : 0.0},
-        {"min_margin", min_margin},
-    };
+  ac::EquipmentUnderTest eut;
+  eut.name = "board";
+  eut.fundamental_frequency = f1;
+  eut.board_thickness = thickness;
+  eut.worst_junction_at_ambient = [](double ambient) {
+    at::FvModel slab(at::FvGrid::uniform(0.1, 0.02, 0.01, 12, 3, 3));
+    slab.set_material(am::aluminum_6061());
+    slab.add_power({0, 12, 0, 3, 0, 3}, 6.0);
+    slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(ambient));
+    return slab.solve_steady().max_temperature;
+  };
+  const ac::CampaignReport report = ac::run_campaign(eut);
+  double min_margin = 1e300;
+  for (const ac::TestResult& r : report.results) min_margin = std::min(min_margin, r.margin);
+  return {
+      {"f1_hz", f1},
+      {"all_passed", report.all_passed ? 1.0 : 0.0},
+      {"min_margin", min_margin},
   };
 }
 
-void add_scenarios(ac::ScenarioRunner& runner, bool smoke) {
+ac::ScenarioSpec sweep_spec(const char* name, const char* graph) {
+  ac::ScenarioSpec spec;
+  spec.name = name;
+  spec.graph = graph;
+  return spec;
+}
+
+std::vector<ac::ScenarioSpec> sweep_specs(bool smoke) {
+  std::vector<ac::ScenarioSpec> specs;
+  char name[32];
   const std::vector<double> powers =
       smoke ? std::vector<double>{60.0, 120.0}
             : std::vector<double>{40.0, 60.0, 80.0, 100.0, 120.0};
   for (const double p : powers) {
-    char name[32];
     std::snprintf(name, sizeof name, "seb_p%03d", static_cast<int>(p));
-    runner.add(name, seb_scenario(p, p >= 100.0 ? 22.0 : 0.0));
+    ac::ScenarioSpec spec = sweep_spec(name, "seb_scenario");
+    spec.loads = {{"power_w", p}};
+    spec.params = {{"tilt_deg", p >= 100.0 ? 22.0 : 0.0}};
+    specs.push_back(spec);
   }
   const std::vector<double> xs =
       smoke ? std::vector<double>{0.05} : std::vector<double>{0.03, 0.05, 0.08, 0.11};
   for (const double x : xs) {
-    char name[32];
     std::snprintf(name, sizeof name, "modal_x%03d", static_cast<int>(x * 1e3));
-    runner.add(name, modal_scenario(x));
+    ac::ScenarioSpec spec = sweep_spec(name, "modal_scenario");
+    spec.params = {{"mass_x", x}};
+    specs.push_back(spec);
   }
   const std::vector<double> loads =
       smoke ? std::vector<double>{5.0} : std::vector<double>{2.0, 5.0, 8.0, 12.0};
   for (const double q : loads) {
-    char name[32];
     std::snprintf(name, sizeof name, "fv_q%03d", static_cast<int>(q));
-    runner.add(name, fv_scenario(q));
+    ac::ScenarioSpec spec = sweep_spec(name, "fv_scenario");
+    spec.loads = {{"power_w", q}};
+    specs.push_back(spec);
   }
   if (!smoke) {
     for (const double t : {1.2e-3, 1.6e-3, 2.0e-3}) {
-      char name[32];
       std::snprintf(name, sizeof name, "qual_t%03d", static_cast<int>(t * 1e5));
-      runner.add(name, qual_scenario(t));
+      ac::ScenarioSpec spec = sweep_spec(name, "qual_scenario");
+      spec.params = {{"thickness", t}};
+      specs.push_back(spec);
     }
   }
+  return specs;
+}
+
+/// One sweep batch on a fresh service with plain batch semantics: no dedup,
+/// no artifact cache, so every scenario is an isolated cold solve.
+std::vector<ac::ScenarioResult> run_sweep(std::size_t workers, bool telemetry,
+                                          const std::vector<ac::ScenarioSpec>& specs) {
+  ac::ScenarioServiceOptions opts;
+  opts.workers = workers;
+  opts.threads_per_scenario = 1;
+  opts.telemetry = telemetry;
+  opts.deduplicate = false;
+  opts.use_cache = false;
+  ac::ScenarioService service(opts);
+  service.register_graph("seb_scenario", &seb_scenario);
+  service.register_graph("modal_scenario", &modal_scenario);
+  service.register_graph("fv_scenario", &fv_scenario);
+  service.register_graph("qual_scenario", &qual_scenario);
+  return service.run(specs);
 }
 
 struct SweepPoint {
@@ -311,7 +354,7 @@ int main(int argc, char** argv) try {
 
   std::printf("\n================================================================\n");
   std::printf("BENCH-SCENARIO — co-design batch throughput on isolated contexts\n");
-  std::printf("SEB sweep + modal placement + FV loads via core::ScenarioRunner\n");
+  std::printf("SEB sweep + modal placement + FV loads via core::ScenarioService\n");
   std::printf("================================================================\n");
 
   const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
@@ -323,18 +366,13 @@ int main(int argc, char** argv) try {
   }
   std::printf("  hardware threads: %zu\n\n", hardware);
 
+  const std::vector<ac::ScenarioSpec> specs = sweep_specs(smoke);
   std::vector<SweepPoint> sweep;
   std::vector<ac::ScenarioResult> reference;  // workers=1 run, for the report
   for (const std::size_t w : worker_counts) {
-    ac::ScenarioRunnerOptions opts;
-    opts.workers = w;
-    opts.threads_per_scenario = 1;
-    opts.telemetry = !report_path.empty() || w == worker_counts.front();
-    ac::ScenarioRunner runner(opts);
-    add_scenarios(runner, smoke);
-
+    const bool telemetry = !report_path.empty() || w == worker_counts.front();
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<ac::ScenarioResult> results = runner.run();
+    std::vector<ac::ScenarioResult> results = run_sweep(w, telemetry, specs);
     SweepPoint point;
     point.workers = w;
     point.seconds = seconds_since(t0);

@@ -6,8 +6,9 @@
 // steady FV solve. Emits BENCH_sparse_kernels.json (machine-readable) so
 // later PRs can track the perf trajectory, plus the usual table on stdout.
 //
-// Headline numbers: 64^3 steady-solve speedup at 4 threads vs 1 thread, and
-// the assembly time removed per Picard pass by structure caching.
+// Headline numbers: steady-solve speedup at 4 threads vs 1 thread on the
+// largest grid measured, and the assembly time removed per Picard pass by
+// structure caching on that grid.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -89,10 +90,6 @@ struct ThreadTiming {
   double cg_ms = 0.0;
   std::size_t cg_iterations = 0;
   double steady_ms = 0.0;
-  // Chebyshev(3)-preconditioned CG on the same system; measured for grids
-  // >= 32^3, where the iteration cut pays for the extra SpMVs.
-  double cheby_cg_ms = 0.0;
-  std::size_t cheby_cg_iterations = 0;
 };
 
 struct GridResult {
@@ -148,8 +145,6 @@ void write_json(const std::string& path, std::size_t hardware,
       const ThreadTiming& tt = r.timings[t];
       out << "        {\"threads\": " << tt.threads << ", \"spmv_ms\": " << tt.spmv_ms
           << ", \"cg_ms\": " << tt.cg_ms << ", \"cg_iterations\": " << tt.cg_iterations
-          << ", \"cheby_cg_ms\": " << tt.cheby_cg_ms
-          << ", \"cheby_cg_iterations\": " << tt.cheby_cg_iterations
           << ", \"steady_ms\": " << tt.steady_ms
           << ", \"steady_speedup_vs_1\": "
           << (tt.steady_ms > 0.0 ? r.timings.front().steady_ms / tt.steady_ms : 0.0) << "}"
@@ -275,13 +270,6 @@ int main(int argc, char** argv) try {
         an::IterativeResult cg;
         tt.cg_ms = time_ms(reps, [&] { cg = an::conjugate_gradient(a, rhs); });
         tt.cg_iterations = cg.iterations;
-        if (n >= 32) {
-          an::IterativeOptions copts;
-          copts.chebyshev_degree = 3;
-          an::IterativeResult ccg;
-          tt.cheby_cg_ms = time_ms(reps, [&] { ccg = an::conjugate_gradient(a, rhs, copts); });
-          tt.cheby_cg_iterations = ccg.iterations;
-        }
         tt.steady_ms = time_ms(reps, [&] {
           const auto sol = model.solve_steady(opts);
           (void)sol;
@@ -329,23 +317,12 @@ int main(int argc, char** argv) try {
   const auto four = std::find_if(big.timings.begin(), big.timings.end(),
                                  [](const ThreadTiming& t) { return t.threads == 4; });
   if (four != big.timings.end() && four->steady_ms > 0.0)
-    std::printf("\n  headline: 64^3 steady solve %.2fx at 4 threads vs 1 thread"
+    std::printf("\n  headline: %zu^3 steady solve %.2fx at 4 threads vs 1 thread"
                 " (%zu hardware threads available)\n",
-                big.timings.front().steady_ms / four->steady_ms, hardware);
+                big.n, big.timings.front().steady_ms / four->steady_ms, hardware);
   std::printf("  headline: structure caching removes %.3f ms of triplet rebuild per"
-              " Picard pass on 64^3\n\n",
-              big.triplet_assembly_ms);
-
-  // Chebyshev headline (printed whenever a grid measured it).
-  for (const GridResult& r : results) {
-    if (r.timings.empty() || r.timings.front().cheby_cg_iterations == 0) continue;
-    const ThreadTiming& tt = r.timings.front();
-    std::printf("  cheby(3) CG on %zu^3: %zu -> %zu iterations (%.0f%% cut), %.3f -> %.3f ms\n",
-                r.n, tt.cg_iterations, tt.cheby_cg_iterations,
-                100.0 * (1.0 - static_cast<double>(tt.cheby_cg_iterations) /
-                                   static_cast<double>(tt.cg_iterations)),
-                tt.cg_ms, tt.cheby_cg_ms);
-  }
+              " Picard pass on %zu^3\n\n",
+              big.triplet_assembly_ms, big.n);
 
   write_json(scaling ? "BENCH_sparse_scaling.json" : "BENCH_sparse_kernels.json", hardware,
              thread_counts, dispatch_ns, results);

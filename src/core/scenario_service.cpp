@@ -17,18 +17,6 @@ namespace aeropack::core {
 
 namespace {
 
-double get_or(const std::map<std::string, double>& m, const std::string& key, double fallback) {
-  const auto it = m.find(key);
-  return it == m.end() ? fallback : it->second;
-}
-
-std::size_t get_index(const std::map<std::string, double>& m, const std::string& key,
-                      std::size_t fallback) {
-  const double v = get_or(m, key, static_cast<double>(fallback));
-  if (v < 1.0) throw std::invalid_argument("scenario param '" + key + "' must be >= 1");
-  return static_cast<std::size_t>(v);
-}
-
 // ---- built-in graph: fv_slab_steady -------------------------------------
 //
 // The qualification-campaign FV slab (bench fv_scenario geometry). Params
@@ -40,18 +28,18 @@ std::size_t get_index(const std::map<std::string, double>& m, const std::string&
 //   boundaries: t_cold (300), t_hot (320)
 std::map<std::string, double> fv_slab_steady(const ScenarioSpec& spec, ExecutionContext& ctx) {
   namespace at = aeropack::thermal;
-  const std::size_t nx = get_index(spec.params, "nx", 16);
-  const std::size_t ny = get_index(spec.params, "ny", 4);
-  const std::size_t nz = get_index(spec.params, "nz", 4);
-  at::FvModel slab(at::FvGrid::uniform(get_or(spec.params, "lx", 0.1),
-                                       get_or(spec.params, "ly", 0.02),
-                                       get_or(spec.params, "lz", 0.01), nx, ny, nz));
+  const std::size_t nx = count_or(spec.params, "nx", 16, 1);
+  const std::size_t ny = count_or(spec.params, "ny", 4, 1);
+  const std::size_t nz = count_or(spec.params, "nz", 4, 1);
+  at::FvModel slab(at::FvGrid::uniform(value_or(spec.params, "lx", 0.1),
+                                       value_or(spec.params, "ly", 0.02),
+                                       value_or(spec.params, "lz", 0.01), nx, ny, nz));
   slab.set_material(materials::aluminum_6061());
-  slab.add_power({0, nx, 0, ny, 0, nz}, get_or(spec.loads, "power_w", 5.0));
+  slab.add_power({0, nx, 0, ny, 0, nz}, value_or(spec.loads, "power_w", 5.0));
   slab.set_boundary(at::Face::XMin,
-                    at::BoundaryCondition::fixed(get_or(spec.boundaries, "t_cold", 300.0)));
+                    at::BoundaryCondition::fixed(value_or(spec.boundaries, "t_cold", 300.0)));
   slab.set_boundary(at::Face::XMax,
-                    at::BoundaryCondition::fixed(get_or(spec.boundaries, "t_hot", 320.0)));
+                    at::BoundaryCondition::fixed(value_or(spec.boundaries, "t_hot", 320.0)));
 
   const at::FvOptions fv_opts;
   at::FvSolution sol;
@@ -79,18 +67,19 @@ std::map<std::string, double> fv_slab_steady(const ScenarioSpec& spec, Execution
 //           thickness (1.6e-3 m), smeared_kg (2.5), n_modes (6)
 std::map<std::string, double> modal_plate(const ScenarioSpec& spec, ExecutionContext& ctx) {
   namespace af = aeropack::fem;
-  af::PlateModel board(0.16, 0.10, get_or(spec.params, "thickness", 1.6e-3), materials::fr4(),
-                       8, 5);
+  af::PlateModel board(0.16, 0.10, value_or(spec.params, "thickness", 1.6e-3),
+                       materials::fr4(), 8, 5);
   board.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
-  board.add_smeared_mass(get_or(spec.params, "smeared_kg", 2.5));
-  board.add_point_mass(get_or(spec.params, "mass_x", 0.05), get_or(spec.params, "mass_y", 0.05),
-                       get_or(spec.params, "mass_kg", 0.18));
+  board.add_smeared_mass(value_or(spec.params, "smeared_kg", 2.5));
+  board.add_point_mass(value_or(spec.params, "mass_x", 0.05),
+                       value_or(spec.params, "mass_y", 0.05),
+                       value_or(spec.params, "mass_kg", 0.18));
   board.add_doubler(0.03, 0.13, 0.02, 0.08, 1.8);
 
   numeric::CsrMatrix k, m;
   board.reduced_sparse(k, m);
   af::ModalOptions opts;
-  opts.n_modes = get_index(spec.params, "n_modes", 6);
+  opts.n_modes = count_or(spec.params, "n_modes", 6, 1);
   opts.path = af::ModalPath::Sparse;
 
   // The factorization key hashes K and the shift only — sound because we
@@ -129,9 +118,9 @@ std::map<std::string, double> modal_plate(const ScenarioSpec& spec, ExecutionCon
 //   boundaries: t_ambient (295.15 K)
 std::map<std::string, double> seb_point(const ScenarioSpec& spec, ExecutionContext&) {
   const SebModel seb{SebDesign{}};
-  const SebOperatingPoint op =
-      seb.solve(get_or(spec.loads, "power_w", 60.0), get_or(spec.boundaries, "t_ambient", 295.15),
-                SebCooling::HeatPipesAndLhp, get_or(spec.params, "tilt_deg", 0.0));
+  const SebOperatingPoint op = seb.solve(
+      value_or(spec.loads, "power_w", 60.0), value_or(spec.boundaries, "t_ambient", 295.15),
+      SebCooling::HeatPipesAndLhp, value_or(spec.params, "tilt_deg", 0.0));
   return {{"dt_pcb_air", op.dt_pcb_air}, {"q_lhp_path", op.q_lhp_path}, {"t_pcb", op.t_pcb}};
 }
 
@@ -139,8 +128,6 @@ std::map<std::string, double> seb_point(const ScenarioSpec& spec, ExecutionConte
 
 struct ScenarioService::Job {
   ScenarioSpec spec;
-  ScenarioFn fn;  ///< opaque path when non-empty (spec ignored)
-  bool opaque = false;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -211,24 +198,6 @@ ScenarioService::Ticket ScenarioService::submit(ScenarioSpec spec) {
   return ticket;
 }
 
-ScenarioService::Ticket ScenarioService::submit(std::string name, ScenarioFn fn) {
-  if (!fn) throw std::invalid_argument("ScenarioService::submit: empty scenario");
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  auto job = std::make_shared<Job>();
-  job->fn = std::move(fn);
-  job->opaque = true;
-  job->result.name = name;
-  Ticket ticket;
-  ticket.name_ = std::move(name);
-  ticket.job_ = job;
-  {
-    std::lock_guard lock(queue_mutex_);
-    queue_.push_back(std::move(job));
-  }
-  queue_cv_.notify_one();
-  return ticket;
-}
-
 ScenarioResult ScenarioService::wait(const Ticket& ticket) {
   if (!ticket.job_) throw std::invalid_argument("ScenarioService::wait: empty ticket");
   Job& job = *ticket.job_;
@@ -272,8 +241,8 @@ void ScenarioService::worker_loop() {
 }
 
 void ScenarioService::execute(Job& job) {
-  // Fresh isolated context per scenario, exactly as ScenarioRunner handed
-  // out — plus the artifact-cache pointer the solver graphs probe.
+  // Fresh isolated context per scenario, plus the artifact-cache pointer
+  // the solver graphs probe.
   ExecutionConfig cfg;
   cfg.threads = opts_.threads_per_scenario;
   cfg.telemetry = opts_.telemetry;
@@ -282,19 +251,15 @@ void ScenarioService::execute(Job& job) {
   const auto t0 = std::chrono::steady_clock::now();
   try {
     const ExecutionContext::Use use(ctx);
-    if (job.opaque) {
-      job.result.values = job.fn(ctx);
-    } else {
-      GraphFn graph;
-      {
-        std::lock_guard lock(graphs_mutex_);
-        const auto it = graphs_.find(job.spec.graph);
-        if (it != graphs_.end()) graph = it->second;
-      }
-      if (!graph)
-        throw std::invalid_argument("ScenarioService: unknown graph '" + job.spec.graph + "'");
-      job.result.values = graph(job.spec, ctx);
+    GraphFn graph;
+    {
+      std::lock_guard lock(graphs_mutex_);
+      const auto it = graphs_.find(job.spec.graph);
+      if (it != graphs_.end()) graph = it->second;
     }
+    if (!graph)
+      throw std::invalid_argument("ScenarioService: unknown graph '" + job.spec.graph + "'");
+    job.result.values = graph(job.spec, ctx);
     job.result.ok = true;
   } catch (const std::exception& e) {
     job.result.error = e.what();

@@ -1,16 +1,17 @@
 // core::ScenarioService — persistent, re-entrant scenario executor over
 // shareable immutable artifacts (DESIGN.md "Scenario service").
 //
-// The service upgrades the batch-of-closures model (core::ScenarioRunner,
-// now a thin shim over this class) to a schema-first one:
+// It is the one way to submit scenarios, and it is schema-first:
 //  - Scenarios arrive as serializable core::ScenarioSpec values — a named
 //    solver graph plus flat parameter/load/boundary maps — not opaque
 //    std::function closures. Because a spec is data, the service
 //    content-hashes it and *deduplicates*: two submissions with equal
 //    content hashes resolve to one solve, the second submitter waits on
-//    the first's job (svc.dedup_hits). The memo persists for the service
-//    lifetime, so re-submitting a spec after its batch completed returns
-//    the memoized result without re-solving.
+//    the first's job (svc.cache.dedup_hits). The memo persists for the
+//    service lifetime, so re-submitting a spec after its batch completed
+//    returns the memoized result without re-solving. A caller with a
+//    one-off solve registers it as a graph (register_graph) and submits a
+//    spec naming it.
 //  - A keyed core::ArtifactCache sits under all workers. Each scenario's
 //    fresh ExecutionContext carries a pointer to it; registered solver
 //    graphs probe it for structurally-shared immutable artifacts (FV
@@ -22,10 +23,12 @@
 // Execution model: `workers` persistent threads drain a FIFO queue. Every
 // scenario gets a fresh ExecutionContext (own pool, own registry) created,
 // bound, driven and destroyed on one worker thread, so per-scenario
-// telemetry comes back isolated exactly as it did from ScenarioRunner.
-// Results are delivered through tickets; wait() blocks until that
-// scenario's job completes (which may have been computed for an earlier
-// duplicate submission).
+// telemetry comes back isolated. With deduplicate and use_cache both off,
+// every submission is one cold solve with its own counters — the plain
+// batch executor. Results are delivered through tickets; wait() blocks
+// until that scenario's job completes (which may have been computed for an
+// earlier duplicate submission), and run() returns them in submission
+// order.
 #pragma once
 
 #include <atomic>
@@ -48,16 +51,11 @@
 
 namespace aeropack::core {
 
-/// One opaque scenario: runs against the context it was handed (already
-/// bound to the calling thread) and returns named scalar outputs. Throwing
-/// marks the scenario failed without aborting the batch. Opaque scenarios
-/// cannot be deduplicated or artifact-keyed — prefer ScenarioSpec.
-using ScenarioFn = std::function<std::map<std::string, double>(ExecutionContext&)>;
-
 /// One registered solver graph: interprets a spec's params/loads/boundaries
-/// and returns named scalar outputs. Runs with the scenario's context bound
-/// to the calling thread; probes ctx.artifact_cache() (may be null) for
-/// shared artifacts.
+/// (through core::value_or / core::count_or) and returns named scalar
+/// outputs. Runs with the scenario's context bound to the calling thread;
+/// probes ctx.artifact_cache() (may be null) for shared artifacts. Throwing
+/// marks the scenario failed without aborting the batch.
 using GraphFn =
     std::function<std::map<std::string, double>(const ScenarioSpec&, ExecutionContext&)>;
 
@@ -76,8 +74,7 @@ struct ScenarioResult {
 };
 
 struct ScenarioServiceOptions {
-  /// Persistent worker threads (0 throws std::invalid_argument — the same
-  /// validation convention as ScenarioRunner).
+  /// Persistent worker threads (0 throws std::invalid_argument).
   std::size_t workers = 1;
   /// Pool size handed to every scenario's context.
   std::size_t threads_per_scenario = 1;
@@ -86,8 +83,8 @@ struct ScenarioServiceOptions {
   /// Resolve content-hash-equal specs to a single solve.
   bool deduplicate = true;
   /// Hand every scenario context a pointer to the shared ArtifactCache.
-  /// Off = every solve builds from scratch (the ScenarioRunner
-  /// compatibility setting — keeps legacy per-scenario counters intact).
+  /// Off = every solve builds from scratch, so per-scenario counters are
+  /// exactly those of an isolated cold solve.
   bool use_cache = true;
   ArtifactCacheOptions cache;
 };
@@ -95,7 +92,7 @@ struct ScenarioServiceOptions {
 /// Lifetime totals of the service itself (cache totals live in
 /// ArtifactCache::stats()).
 struct ScenarioServiceStats {
-  std::uint64_t submitted = 0;   ///< submit() calls, both kinds
+  std::uint64_t submitted = 0;   ///< submit() calls
   std::uint64_t executed = 0;    ///< scenarios actually solved
   std::uint64_t dedup_hits = 0;  ///< submissions resolved to an existing job
 };
@@ -136,9 +133,6 @@ class ScenarioService {
   /// (no new solve). An unknown spec.graph fails at execution with a
   /// descriptive ScenarioResult::error, not here.
   Ticket submit(ScenarioSpec spec);
-  /// Submit an opaque closure (ScenarioRunner compatibility path): never
-  /// deduplicated, never artifact-keyed. Throws on an empty fn.
-  Ticket submit(std::string name, ScenarioFn fn);
 
   /// Block until the ticket's job completes; returns a copy of its result
   /// with the ticket's own name. Throws std::invalid_argument on a

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -165,6 +166,30 @@ ScenarioSpec ScenarioSpec::deserialize(const std::string& text) {
   if (!saw_name || !saw_graph)
     throw std::invalid_argument("ScenarioSpec::deserialize: missing name or graph");
   return spec;
+}
+
+double value_or(const std::map<std::string, double>& m, const std::string& key,
+                double fallback) {
+  const auto it = m.find(key);
+  return it == m.end() ? fallback : it->second;
+}
+
+std::size_t count_or(const std::map<std::string, double>& m, const std::string& key,
+                     std::size_t fallback, std::size_t min) {
+  const auto it = m.find(key);
+  if (it == m.end()) return fallback;
+  const double v = it->second;
+  // The size_t maximum rounds up to 2^64 as a double, so every value that
+  // passes is finite, >= min and truncates to a representable size_t; NaN
+  // fails both comparisons.
+  constexpr double kLimit = static_cast<double>(std::numeric_limits<std::size_t>::max());
+  if (!(v >= static_cast<double>(min) && v < kLimit)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", v);
+    throw std::invalid_argument("scenario param '" + key + "' must be a count in [" +
+                                std::to_string(min) + ", 2^64), got " + got);
+  }
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace aeropack::core

@@ -16,6 +16,7 @@
 // original. The format is a single line, safe to embed in reports or logs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -58,5 +59,18 @@ struct ScenarioSpec {
 
   friend bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) = default;
 };
+
+/// The one reader solver graphs use for a spec's params/loads/boundaries:
+/// the value stored under `key`, or `fallback` when the map has none.
+double value_or(const std::map<std::string, double>& m, const std::string& key,
+                double fallback);
+
+/// Integer form for counts and sizes (grid cells, modes, orbits, ranks):
+/// the value under `key` truncated toward zero, or `fallback` when absent.
+/// Refuses, with a std::invalid_argument that names `key`, every value whose
+/// std::size_t conversion would be undefined (NaN, +-inf, negative, at or
+/// above 2^64) and every value below `min`.
+std::size_t count_or(const std::map<std::string, double>& m, const std::string& key,
+                     std::size_t fallback, std::size_t min = 0);
 
 }  // namespace aeropack::core

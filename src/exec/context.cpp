@@ -3,23 +3,10 @@
 namespace aeropack {
 
 ExecutionContext::ExecutionContext(const ExecutionConfig& config)
-    : config_(config),
-      owned_pool_(std::make_unique<numeric::ThreadPool>(config.threads)),
-      owned_registry_(std::make_unique<obs::Registry>(config.telemetry)),
-      pool_(owned_pool_.get()),
-      registry_(owned_registry_.get()) {}
-
-ExecutionContext::ExecutionContext(numeric::ThreadPool* pool, obs::Registry* registry)
-    : pool_(pool), registry_(registry) {}
+    : pool_(config.threads),
+      registry_(config.telemetry),
+      artifact_cache_(config.artifact_cache) {}
 
 ExecutionContext::~ExecutionContext() = default;
-
-ExecutionContext& ExecutionContext::process() {
-  // Leaked for the same reason the wrapped singletons are: telemetry and
-  // kernels may still fire during static teardown.
-  static ExecutionContext* const ctx =
-      new ExecutionContext(&numeric::ThreadPool::instance(), &obs::Registry::instance());
-  return *ctx;
-}
 
 }  // namespace aeropack

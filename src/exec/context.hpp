@@ -1,7 +1,7 @@
 // aeropack::ExecutionContext — one isolated execution environment for the
-// solver stack: a thread pool, an obs telemetry registry and the run
-// configuration, owned together so independent solves can run concurrently
-// without sharing mutable process state.
+// solver stack: a thread pool and an obs telemetry registry, owned together
+// so independent solves can run concurrently without sharing mutable
+// process state.
 //
 // Ownership model (see DESIGN.md "Execution contexts"):
 //  - The numeric kernels and the obs instrumentation sites resolve
@@ -12,15 +12,15 @@
 //  - ExecutionContext::Use binds a context's pool and registry to the
 //    calling thread (RAII, restores the previous binding), so a whole solve
 //    — FvModel, ThermalNetwork, the sparse modal path — lands on that
-//    context without threading a handle through every call.
+//    context without threading a handle through every call. Solvers take no
+//    context argument: callers pin a solve by binding with Use.
 //  - One context serves one driving thread at a time; distinct contexts on
 //    distinct threads are fully independent (no shared instruments, no
-//    shared task queue). This is the contract core::ScenarioRunner builds
+//    shared task queue). This is the contract core::ScenarioService builds
 //    on.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "numeric/parallel.hpp"
 #include "obs/registry.hpp"
@@ -40,11 +40,6 @@ struct ExecutionConfig {
   /// Arm the context's registry from birth (per-context telemetry does not
   /// read AEROPACK_TELEMETRY — that variable governs the process default).
   bool telemetry = false;
-  /// Chebyshev degree for CG preconditioning in solvers pinned to this
-  /// context (numeric::IterativeOptions::chebyshev_degree): solvers that
-  /// leave their own degree at 0 inherit this one. 0 (default) keeps plain
-  /// Jacobi everywhere — the setting existing goldens were recorded under.
-  std::size_t cg_chebyshev_degree = 0;
   /// Optional shared artifact cache (non-owning; must outlive the context).
   /// Solver graphs that run under core::ScenarioService probe it for
   /// reusable immutable artifacts — FV assemblies, modal factorizations,
@@ -61,23 +56,13 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// The process-default context, wrapping ThreadPool::instance() and
-  /// obs::Registry::instance() (non-owning, process lifetime). Binding it is
-  /// a no-op by construction: unbound threads already resolve to the same
-  /// singletons.
-  static ExecutionContext& process();
-
-  numeric::ThreadPool& pool() { return *pool_; }
-  obs::Registry& metrics() { return *registry_; }
-  const obs::Registry& metrics() const { return *registry_; }
-  std::size_t threads() const { return pool_->threads(); }
-  /// The configuration this context was built from (process() reports the
-  /// defaults). Solvers pinned to the context read tuning knobs — currently
-  /// cg_chebyshev_degree — from here.
-  const ExecutionConfig& config() const { return config_; }
+  numeric::ThreadPool& pool() { return pool_; }
+  obs::Registry& metrics() { return registry_; }
+  const obs::Registry& metrics() const { return registry_; }
+  std::size_t threads() const { return pool_.threads(); }
   /// The shared artifact cache this context may consult, or nullptr when the
-  /// run is uncached (direct solves, the ScenarioRunner compatibility path).
-  core::ArtifactCache* artifact_cache() const { return config_.artifact_cache; }
+  /// run is uncached (direct solves, services built with use_cache off).
+  core::ArtifactCache* artifact_cache() const { return artifact_cache_; }
 
   /// RAII binding: while alive, the constructing thread's parallel kernels
   /// run on this context's pool and its instrumentation records into this
@@ -87,8 +72,8 @@ class ExecutionContext {
   class Use {
    public:
     explicit Use(ExecutionContext& ctx)
-        : prev_pool_(numeric::exchange_current_pool(ctx.pool_)),
-          prev_registry_(obs::exchange_current(ctx.registry_)) {}
+        : prev_pool_(numeric::exchange_current_pool(&ctx.pool_)),
+          prev_registry_(obs::exchange_current(&ctx.registry_)) {}
     ~Use() {
       obs::exchange_current(prev_registry_);
       numeric::exchange_current_pool(prev_pool_);
@@ -102,13 +87,9 @@ class ExecutionContext {
   };
 
  private:
-  ExecutionContext(numeric::ThreadPool* pool, obs::Registry* registry);  // process()
-
-  ExecutionConfig config_;
-  std::unique_ptr<numeric::ThreadPool> owned_pool_;
-  std::unique_ptr<obs::Registry> owned_registry_;
-  numeric::ThreadPool* pool_;
-  obs::Registry* registry_;
+  numeric::ThreadPool pool_;
+  obs::Registry registry_;
+  core::ArtifactCache* artifact_cache_;
 };
 
 }  // namespace aeropack

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "exec/context.hpp"
 #include "numeric/eigen.hpp"
 #include "obs/registry.hpp"
 
@@ -76,12 +75,6 @@ ReducedModes solve_reduced_modes(const CsrMatrix& k, const CsrMatrix& m,
   }
   res.frequencies_hz = numeric::natural_frequencies_hz(res.eigenvalues);
   return res;
-}
-
-ReducedModes solve_reduced_modes(ExecutionContext& ctx, const CsrMatrix& k,
-                                 const CsrMatrix& m, const ModalOptions& opts) {
-  const ExecutionContext::Use use(ctx);
-  return solve_reduced_modes(k, m, opts);
 }
 
 std::size_t ModalFactorization::cost_bytes() const {

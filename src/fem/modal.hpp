@@ -16,10 +16,6 @@
 #include "numeric/eigen.hpp"
 #include "numeric/sparse.hpp"
 
-namespace aeropack {
-class ExecutionContext;
-}
-
 namespace aeropack::fem {
 
 enum class ModalPath {
@@ -52,10 +48,6 @@ struct ReducedModes {
 /// deterministic and bit-identical across thread counts.
 ReducedModes solve_reduced_modes(const numeric::CsrMatrix& k, const numeric::CsrMatrix& m,
                                  const ModalOptions& opts = {});
-/// Same solve, pinned to an ExecutionContext (kernels on the context's pool,
-/// telemetry in its registry; bit-identical results at any thread count).
-ReducedModes solve_reduced_modes(ExecutionContext& ctx, const numeric::CsrMatrix& k,
-                                 const numeric::CsrMatrix& m, const ModalOptions& opts = {});
 
 /// The factorization half of a sparse modal solve, split out as an immutable
 /// artifact for core::ArtifactCache: building it does the skyline Cholesky

@@ -18,11 +18,8 @@ namespace aeropack::mission {
 namespace {
 
 namespace at = aeropack::thermal;
-
-double get_or(const std::map<std::string, double>& m, const std::string& key, double fallback) {
-  const auto it = m.find(key);
-  return it == m.end() ? fallback : it->second;
-}
+using core::count_or;
+using core::value_or;
 
 /// Canonical SEB box configured from a spec's loads, with port films in
 /// place (the drive supplies the per-step sink temperatures).
@@ -33,7 +30,7 @@ at::FvModel seb_mission_model(const core::ScenarioSpec& spec, double t_sink0) {
   inputs.map_powers.reserve(cc.spec.maps.size());
   for (const rom::RomPowerMap& m : cc.spec.maps) {
     const double fallback = m.name == "pcb_components" ? 40.0 : 15.0;
-    inputs.map_powers.push_back(get_or(spec.loads, m.name, fallback));
+    inputs.map_powers.push_back(value_or(spec.loads, m.name, fallback));
   }
   rom::apply_inputs(cc.model, cc.spec, inputs);
   return std::move(cc.model);
@@ -43,14 +40,15 @@ at::FvModel seb_mission_model(const core::ScenarioSpec& spec, double t_sink0) {
 /// scenario service's ArtifactCache when one is attached. The cache key is
 /// the *steady* structural hash — the exact key steady solves of the same
 /// structure use, which is the cross-campaign hit class the mission bench
-/// gates on.
+/// gates on. The service has already bound `ctx`, so the march runs
+/// unpinned.
 std::map<std::string, double> run_mission_graph(const at::FvModel& model, const Profile& profile,
                                                 const core::ScenarioSpec& spec,
                                                 aeropack::ExecutionContext& ctx) {
   AdaptiveOptions adaptive;
-  adaptive.tolerance = get_or(spec.params, "tolerance", adaptive.tolerance);
-  adaptive.dt_max = get_or(spec.params, "dt_max", adaptive.dt_max);
-  const double t_initial = get_or(spec.params, "t_initial", 293.15);
+  adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
+  adaptive.dt_max = value_or(spec.params, "dt_max", adaptive.dt_max);
+  const double t_initial = value_or(spec.params, "t_initial", 293.15);
 
   const at::FvOptions fv_opts;
   std::shared_ptr<const at::FvAssembly> assembly;
@@ -61,7 +59,7 @@ std::map<std::string, double> run_mission_graph(const at::FvModel& model, const 
         [](const at::FvAssembly& a) { return a.cost_bytes(); });
   }
   const MissionSolution sol =
-      run_fv_mission(ctx, model, profile, t_initial, adaptive, fv_opts, assembly);
+      run_fv_mission(model, profile, t_initial, adaptive, fv_opts, assembly);
 
   std::map<std::string, double> out;
   out["t_final_max"] = sol.t_max.back();
@@ -80,23 +78,23 @@ std::map<std::string, double> run_mission_graph(const at::FvModel& model, const 
 
 std::map<std::string, double> mission_seb_do160(const core::ScenarioSpec& spec,
                                                 aeropack::ExecutionContext& ctx) {
-  const double t_cold = get_or(spec.boundaries, "t_cold", 228.15);
-  const double t_hot = get_or(spec.boundaries, "t_hot", 328.15);
+  const double t_cold = value_or(spec.boundaries, "t_cold", 228.15);
+  const double t_hot = value_or(spec.boundaries, "t_hot", 328.15);
   const Profile profile =
-      Profile::do160_thermal_shock(t_cold, t_hot, get_or(spec.params, "ramp_rate", 5.0),
-                                   get_or(spec.params, "dwell_s", 1800.0));
+      Profile::do160_thermal_shock(t_cold, t_hot, value_or(spec.params, "ramp_rate", 5.0),
+                                   value_or(spec.params, "dwell_s", 1800.0));
   const at::FvModel model = seb_mission_model(spec, t_cold);
   return run_mission_graph(model, profile, spec, ctx);
 }
 
 std::map<std::string, double> mission_seb_eclipse(const core::ScenarioSpec& spec,
                                                   aeropack::ExecutionContext& ctx) {
-  const double t_sunlit = get_or(spec.boundaries, "t_sunlit", 313.15);
-  const double t_eclipse = get_or(spec.boundaries, "t_eclipse", 213.15);
+  const double t_sunlit = value_or(spec.boundaries, "t_sunlit", 313.15);
+  const double t_eclipse = value_or(spec.boundaries, "t_eclipse", 213.15);
   const Profile profile = Profile::cubesat_eclipse(
-      static_cast<std::size_t>(get_or(spec.params, "orbits", 2.0)),
-      get_or(spec.params, "period_s", 600.0), get_or(spec.params, "eclipse_fraction", 0.35),
-      t_sunlit, t_eclipse, get_or(spec.params, "eclipse_power_scale", 0.6));
+      count_or(spec.params, "orbits", 2), value_or(spec.params, "period_s", 600.0),
+      value_or(spec.params, "eclipse_fraction", 0.35), t_sunlit, t_eclipse,
+      value_or(spec.params, "eclipse_power_scale", 0.6));
   const at::FvModel model = seb_mission_model(spec, t_sunlit);
   return run_mission_graph(model, profile, spec, ctx);
 }
@@ -110,9 +108,9 @@ std::map<std::string, double> mission_seb_eclipse(const core::ScenarioSpec& spec
 // implicit solves than the old fixed-dt march at the same tolerance.
 std::map<std::string, double> mission_network_flight(const core::ScenarioSpec& spec,
                                                      aeropack::ExecutionContext&) {
-  const double t_ground = get_or(spec.boundaries, "t_ground", 328.15);
-  const double t_cruise = get_or(spec.boundaries, "t_cruise", 243.15);
-  const double time_scale = get_or(spec.params, "time_scale", 0.05);
+  const double t_ground = value_or(spec.boundaries, "t_ground", 328.15);
+  const double t_cruise = value_or(spec.boundaries, "t_cruise", 243.15);
+  const double time_scale = value_or(spec.params, "time_scale", 0.05);
   const Profile profile = Profile::arinc600_flight(t_ground, t_cruise, time_scale);
 
   at::ThermalNetwork net;
@@ -121,13 +119,13 @@ std::map<std::string, double> mission_network_flight(const core::ScenarioSpec& s
   const at::NodeId ambient = net.add_boundary("ambient", t_ground);
   net.add_conductor(equipment, chassis, 2.5);
   net.add_conductor(chassis, ambient, 4.0);
-  net.add_heat_load(equipment, get_or(spec.loads, "equipment", 120.0));
+  net.add_heat_load(equipment, value_or(spec.loads, "equipment", 120.0));
 
-  const double t_initial = get_or(spec.params, "t_initial", 293.15);
+  const double t_initial = value_or(spec.params, "t_initial", 293.15);
   AdaptiveOptions adaptive;
-  adaptive.tolerance = get_or(spec.params, "tolerance", adaptive.tolerance);
-  adaptive.dt_initial = get_or(spec.params, "dt", 5.0) * time_scale;
-  adaptive.dt_max = get_or(spec.params, "dt_max", adaptive.dt_max) * time_scale;
+  adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
+  adaptive.dt_initial = value_or(spec.params, "dt", 5.0) * time_scale;
+  adaptive.dt_max = value_or(spec.params, "dt_max", adaptive.dt_max) * time_scale;
   numeric::Vector initial(net.node_count(), t_initial);
   const NetworkMissionSolution sol = run_network_mission(net, profile, initial, adaptive);
 
@@ -156,8 +154,8 @@ std::map<std::string, double> run_rom_mission_graph(const Profile& profile,
                                                     double t_sink0) {
   rom::CanonicalCase cc = rom::seb_box();
   rom::RomOptions rom_opts;
-  const double rank = get_or(spec.params, "rank", 0.0);
-  if (rank > 0.0) rom_opts.rank = static_cast<std::size_t>(rank);
+  const std::size_t rank = count_or(spec.params, "rank", 0);  // 0 = automatic
+  if (rank > 0) rom_opts.rank = rank;
   const std::shared_ptr<const rom::RomModel> model =
       rom::get_or_build_rom(ctx.artifact_cache(), cc.model, cc.spec, rom_opts);
 
@@ -166,13 +164,13 @@ std::map<std::string, double> run_rom_mission_graph(const Profile& profile,
   base.map_powers.reserve(cc.spec.maps.size());
   for (const rom::RomPowerMap& m : cc.spec.maps) {
     const double fallback = m.name == "pcb_components" ? 40.0 : 15.0;
-    base.map_powers.push_back(get_or(spec.loads, m.name, fallback));
+    base.map_powers.push_back(value_or(spec.loads, m.name, fallback));
   }
 
   AdaptiveOptions adaptive;
-  adaptive.tolerance = get_or(spec.params, "tolerance", adaptive.tolerance);
-  adaptive.dt_max = get_or(spec.params, "dt_max", adaptive.dt_max);
-  const double t_initial = get_or(spec.params, "t_initial", 293.15);
+  adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
+  adaptive.dt_max = value_or(spec.params, "dt_max", adaptive.dt_max);
+  const double t_initial = value_or(spec.params, "t_initial", 293.15);
 
   const MissionSolution sol =
       run_rom_mission(model, profile, t_initial, base, adaptive, &cc.model.grid());
@@ -193,22 +191,22 @@ std::map<std::string, double> run_rom_mission_graph(const Profile& profile,
 
 std::map<std::string, double> mission_rom_do160(const core::ScenarioSpec& spec,
                                                 aeropack::ExecutionContext& ctx) {
-  const double t_cold = get_or(spec.boundaries, "t_cold", 228.15);
-  const double t_hot = get_or(spec.boundaries, "t_hot", 328.15);
+  const double t_cold = value_or(spec.boundaries, "t_cold", 228.15);
+  const double t_hot = value_or(spec.boundaries, "t_hot", 328.15);
   const Profile profile =
-      Profile::do160_thermal_shock(t_cold, t_hot, get_or(spec.params, "ramp_rate", 5.0),
-                                   get_or(spec.params, "dwell_s", 1800.0));
+      Profile::do160_thermal_shock(t_cold, t_hot, value_or(spec.params, "ramp_rate", 5.0),
+                                   value_or(spec.params, "dwell_s", 1800.0));
   return run_rom_mission_graph(profile, spec, ctx, t_cold);
 }
 
 std::map<std::string, double> mission_rom_eclipse(const core::ScenarioSpec& spec,
                                                   aeropack::ExecutionContext& ctx) {
-  const double t_sunlit = get_or(spec.boundaries, "t_sunlit", 313.15);
-  const double t_eclipse = get_or(spec.boundaries, "t_eclipse", 213.15);
+  const double t_sunlit = value_or(spec.boundaries, "t_sunlit", 313.15);
+  const double t_eclipse = value_or(spec.boundaries, "t_eclipse", 213.15);
   const Profile profile = Profile::cubesat_eclipse(
-      static_cast<std::size_t>(get_or(spec.params, "orbits", 2.0)),
-      get_or(spec.params, "period_s", 600.0), get_or(spec.params, "eclipse_fraction", 0.35),
-      t_sunlit, t_eclipse, get_or(spec.params, "eclipse_power_scale", 0.6));
+      count_or(spec.params, "orbits", 2), value_or(spec.params, "period_s", 600.0),
+      value_or(spec.params, "eclipse_fraction", 0.35), t_sunlit, t_eclipse,
+      value_or(spec.params, "eclipse_power_scale", 0.6));
   return run_rom_mission_graph(profile, spec, ctx, t_sunlit);
 }
 

@@ -161,12 +161,8 @@ MissionSolution run_fv_mission(ExecutionContext& ctx, const thermal::FvModel& mo
                                const AdaptiveOptions& adaptive,
                                const thermal::FvOptions& fv_opts,
                                std::shared_ptr<const thermal::FvAssembly> assembly) {
-  ExecutionContext::Use use(ctx);
-  thermal::FvOptions tuned = fv_opts;
-  if (tuned.linear.chebyshev_degree == 0) {
-    tuned.linear.chebyshev_degree = ctx.config().cg_chebyshev_degree;
-  }
-  return run_fv_mission(model, profile, t_initial, adaptive, tuned, std::move(assembly));
+  const ExecutionContext::Use use(ctx);
+  return run_fv_mission(model, profile, t_initial, adaptive, fv_opts, std::move(assembly));
 }
 
 rom::RomDrive drive_for_rom(const Profile& profile, rom::RomInputs base_inputs) {

@@ -96,10 +96,11 @@ MissionSolution run_fv_mission(const thermal::FvModel& model, const Profile& pro
                                const thermal::FvOptions& fv_opts = {},
                                std::shared_ptr<const thermal::FvAssembly> assembly = nullptr);
 
-/// Same march pinned to an ExecutionContext: kernels on the context's pool,
-/// telemetry in its registry, CG Chebyshev degree inherited from the
-/// context config. Bit-identical to the unpinned overload at any thread
-/// count.
+/// Same march pinned to an ExecutionContext: binds `ctx` with
+/// ExecutionContext::Use for the call (kernels on its pool, telemetry in its
+/// registry). Bit-identical to the unpinned overload at any thread count.
+/// Code already running under a bound context — every scenario graph —
+/// calls the unpinned overload.
 MissionSolution run_fv_mission(ExecutionContext& ctx, const thermal::FvModel& model,
                                const Profile& profile, double t_initial,
                                const AdaptiveOptions& adaptive = {},

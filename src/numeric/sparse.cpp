@@ -4,10 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
-#include "numeric/cheby.hpp"
 #include "numeric/parallel.hpp"
 #include "obs/registry.hpp"
 
@@ -186,16 +184,6 @@ Vector jacobi_preconditioner(const CsrMatrix& a) {
   return inv_d;
 }
 
-void hadamard(ThreadPool& pool, const Vector& a, const Vector& b, Vector& out) {
-  parallel_for(pool, 0, a.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) out[i] = a[i] * b[i];
-  });
-}
-
-void hadamard(const Vector& a, const Vector& b, Vector& out) {
-  hadamard(current_pool(), a, b, out);
-}
-
 IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
                         const IterativeOptions& opts, const Vector* x0) {
   if (a.rows() != a.cols() || b.size() != a.rows())
@@ -226,36 +214,8 @@ IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
   } else {
     r = b;  // r = b - A*0
   }
-  // Optional Chebyshev acceleration (opts.chebyshev_degree >= 2): estimate
-  // the Jacobi-operator spectrum once, fall back to plain Jacobi when the
-  // estimate is unusable. Off by default — the Jacobi path below is
-  // bit-identical to the historical unfused kernels, so goldens and counter
-  // expectations hold.
-  ChebyshevJacobi* cheby = nullptr;
-  std::optional<ChebyshevJacobi> cheby_storage;
-  if (opts.chebyshev_degree >= 2) {
-    const SpectralBounds bounds = estimate_jacobi_spectrum(pool, a, inv_d);
-    if (bounds.usable()) {
-      cheby_storage.emplace(a, inv_d, bounds, opts.chebyshev_degree);
-      cheby = &*cheby_storage;
-      static thread_local obs::CounterHandle cg_cheby{"numeric.cg.cheby_solves"};
-      cg_cheby.add();
-    }
-  }
-  // jac = D^-1 r: the Jacobi path uses it as the preconditioned residual z
-  // directly; the Chebyshev path feeds it to the polynomial. The fused CG
-  // update below keeps it current for free.
-  Vector jac(n);
-  Vector z;
-  double rz;
-  if (cheby != nullptr) {
-    hadamard(pool, inv_d, r, jac);
-    cheby->apply(pool, r, jac, z);
-    rz = parallel_dot(pool, r, z);
-  } else {
-    z.resize(n);
-    rz = fused_hadamard_dot(pool, inv_d, r, z);
-  }
+  Vector z(n);
+  double rz = fused_hadamard_dot(pool, inv_d, r, z);
   Vector p = z;
   Vector ap(n);
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
@@ -267,21 +227,15 @@ IterativeResult cg_impl(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
     // x and r, refreshes D^-1 r, and returns <r,r> and <r, D^-1 r> through
     // the same fixed-chunk in-order reduction the separate kernels used —
     // iterates and residuals are bit-identical to the unfused loop.
-    Vector& zj = cheby != nullptr ? jac : z;
-    const CgFused f = cg_fused_update(pool, alpha, p, ap, inv_d, res.x, r, zj);
+    const CgFused f = cg_fused_update(pool, alpha, p, ap, inv_d, res.x, r, z);
     res.iterations = it + 1;
     res.residual = std::sqrt(f.rr) / bnorm;
     if (res.residual < opts.tolerance) {
       res.converged = true;
       return res;
     }
-    double rz_new = f.rz;
-    if (cheby != nullptr) {
-      cheby->apply(pool, r, jac, z);
-      rz_new = parallel_dot(pool, r, z);
-    }
-    const double beta = rz_new / rz;
-    rz = rz_new;
+    const double beta = f.rz / rz;
+    rz = f.rz;
     parallel_for(pool, 0, n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) p[i] = z[i] + beta * p[i];
     });
@@ -313,66 +267,6 @@ IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const V
     static thread_local obs::GaugeHandle cg_last_iters{"numeric.cg.last_iterations"};
     cg_residual.set(res.residual);
     cg_last_iters.set(static_cast<double>(res.iterations));
-  }
-  return res;
-}
-
-IterativeResult bicgstab(const CsrMatrix& a, const Vector& b, const IterativeOptions& opts) {
-  if (a.rows() != a.cols() || b.size() != a.rows())
-    throw std::invalid_argument("bicgstab: shape mismatch");
-  const std::size_t n = b.size();
-  IterativeResult res;
-  res.x.assign(n, 0.0);
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    res.converged = true;
-    return res;
-  }
-  const Vector inv_d = jacobi_preconditioner(a);
-  Vector r = b;
-  Vector r0 = r;
-  double rho = 1.0, alpha = 1.0, omega = 1.0;
-  Vector v(n, 0.0), p(n, 0.0), phat(n), shat(n);
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    const double rho_new = dot(r0, r);
-    if (rho_new == 0.0) break;
-    if (it == 0) {
-      p = r;
-    } else {
-      const double beta = (rho_new / rho) * (alpha / omega);
-      for (std::size_t i = 0; i < n; ++i) p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    rho = rho_new;
-    hadamard(inv_d, p, phat);
-    v = a.multiply(phat);
-    const double r0v = dot(r0, v);
-    if (r0v == 0.0) break;
-    alpha = rho / r0v;
-    Vector s = r;
-    axpy(-alpha, v, s);
-    if (norm2(s) / bnorm < opts.tolerance) {
-      axpy(alpha, phat, res.x);
-      res.iterations = it + 1;
-      res.residual = norm2(s) / bnorm;
-      res.converged = true;
-      return res;
-    }
-    hadamard(inv_d, s, shat);
-    const Vector t = a.multiply(shat);
-    const double tt = dot(t, t);
-    if (tt == 0.0) break;
-    omega = dot(t, s) / tt;
-    axpy(alpha, phat, res.x);
-    axpy(omega, shat, res.x);
-    r = s;
-    axpy(-omega, t, r);
-    res.iterations = it + 1;
-    res.residual = norm2(r) / bnorm;
-    if (res.residual < opts.tolerance) {
-      res.converged = true;
-      return res;
-    }
-    if (omega == 0.0) break;
   }
   return res;
 }

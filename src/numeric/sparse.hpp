@@ -99,12 +99,6 @@ struct IterativeResult {
 struct IterativeOptions {
   std::size_t max_iterations = 10000;
   double tolerance = 1e-10;  ///< relative residual target
-  /// Chebyshev polynomial degree for the CG preconditioner (numeric/cheby.hpp):
-  /// 0 or 1 keeps plain Jacobi (the default — existing goldens and counter
-  /// expectations assume it); >= 2 spends degree-1 extra SpMVs per iteration
-  /// to cut the iteration count on large grids. Falls back to Jacobi when the
-  /// spectral-bound estimate degenerates.
-  std::size_t chebyshev_degree = 0;
 };
 
 /// Preconditioned (Jacobi) conjugate gradient for SPD systems.
@@ -121,8 +115,5 @@ IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
 IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
                                    const Vector* x0 = nullptr);
-
-/// BiCGSTAB for general nonsymmetric systems (Jacobi preconditioned).
-IterativeResult bicgstab(const CsrMatrix& a, const Vector& b, const IterativeOptions& opts = {});
 
 }  // namespace aeropack::numeric

@@ -31,7 +31,7 @@ class Report {
   void set_meta(const std::string& key, double value);
 
   /// Merge an externally captured counter map under "counters.<prefix>.<key>"
-  /// — how ScenarioRunner results fold each scenario's isolated registry
+  /// — how ScenarioService results fold each scenario's isolated registry
   /// into one report (keys stay sorted, so emission order is deterministic).
   void add_counters(const std::string& prefix,
                     const std::map<std::string, std::uint64_t>& counters);

@@ -48,7 +48,6 @@ std::uint64_t rom_key(const thermal::FvModel& model, const RomSpec& spec,
   h.add(opts.fv.picard_tolerance);
   h.add(static_cast<std::uint64_t>(opts.fv.linear.max_iterations));
   h.add(opts.fv.linear.tolerance);
-  h.add(static_cast<std::uint64_t>(opts.fv.linear.chebyshev_degree));
   return h.value();
 }
 

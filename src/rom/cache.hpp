@@ -33,8 +33,9 @@ std::size_t rom_cost_bytes(const RomModel& model);
 
 /// Cache-aware build: probe `cache` under rom_key(), build on miss (outside
 /// the cache locks) and insert. A null cache always builds fresh — the
-/// uncached ScenarioRunner/solo path. The returned model is immutable and
-/// safe to evaluate concurrently from any number of threads.
+/// path of direct calls and of services built with use_cache off. The
+/// returned model is immutable and safe to evaluate concurrently from any
+/// number of threads.
 std::shared_ptr<const RomModel> get_or_build_rom(core::ArtifactCache* cache,
                                                  const thermal::FvModel& model,
                                                  const RomSpec& spec, const RomOptions& opts = {});

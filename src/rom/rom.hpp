@@ -123,7 +123,7 @@ struct RomBuildInfo {
 };
 
 /// The reduced model. Evaluation is const and thread-safe: concurrent
-/// steady()/transient() calls from ScenarioRunner workers share no mutable
+/// steady()/transient() calls from ScenarioService workers share no mutable
 /// state. All data is dense and small except the basis (cells × rank), kept
 /// for field reconstruction and verification.
 class RomModel {

@@ -12,10 +12,8 @@ namespace aeropack::rom {
 
 namespace {
 
-double get_or(const std::map<std::string, double>& m, const std::string& key, double fallback) {
-  const auto it = m.find(key);
-  return it == m.end() ? fallback : it->second;
-}
+using core::count_or;
+using core::value_or;
 
 // One steady evaluation of a canonical compact model: the RomModel comes
 // from the artifact cache (built on the first scenario that needs this
@@ -27,8 +25,8 @@ std::map<std::string, double> rom_steady(CanonicalCase (*make_case)(),
                                          aeropack::ExecutionContext& ctx) {
   const CanonicalCase cc = make_case();
   RomOptions opts;
-  const double rank = get_or(scenario.params, "rank", 0.0);
-  if (rank > 0.0) opts.rank = static_cast<std::size_t>(rank);
+  const std::size_t rank = count_or(scenario.params, "rank", 0);  // 0 = automatic
+  if (rank > 0) opts.rank = rank;
 
   const std::shared_ptr<const RomModel> model =
       get_or_build_rom(ctx.artifact_cache(), cc.model, cc.spec, opts);
@@ -36,10 +34,10 @@ std::map<std::string, double> rom_steady(CanonicalCase (*make_case)(),
   RomInputs inputs;
   inputs.sink_temperatures.reserve(cc.spec.ports.size());
   for (const RomPort& p : cc.spec.ports)
-    inputs.sink_temperatures.push_back(get_or(scenario.boundaries, p.name, 300.0));
+    inputs.sink_temperatures.push_back(value_or(scenario.boundaries, p.name, 300.0));
   inputs.map_powers.reserve(cc.spec.maps.size());
   for (const RomPowerMap& m : cc.spec.maps)
-    inputs.map_powers.push_back(get_or(scenario.loads, m.name, 0.0));
+    inputs.map_powers.push_back(value_or(scenario.loads, m.name, 0.0));
 
   const RomSteadyResult res = model->steady(inputs);
   std::map<std::string, double> out;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/transient_engine.hpp"
-#include "exec/context.hpp"
 #include "numeric/hashing.hpp"
 #include "numeric/parallel.hpp"
 #include "obs/registry.hpp"
@@ -762,46 +761,9 @@ FvSolution FvModel::solve_steady(const std::shared_ptr<const FvAssembly>& assemb
   return solve_steady_impl(opts, assembly);
 }
 
-namespace {
-
-// Context-pinned solves inherit the context's Chebyshev degree unless the
-// caller set one explicitly on the linear options.
-FvOptions with_context_tuning(const ExecutionContext& ctx, FvOptions opts) {
-  if (opts.linear.chebyshev_degree == 0)
-    opts.linear.chebyshev_degree = ctx.config().cg_chebyshev_degree;
-  return opts;
-}
-
-}  // namespace
-
-FvSolution FvModel::solve_steady(ExecutionContext& ctx, const FvOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_steady(with_context_tuning(ctx, opts));
-}
-
-FvSolution FvModel::solve_steady(ExecutionContext& ctx,
-                                 const std::shared_ptr<const FvAssembly>& assembly,
-                                 const FvOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_steady(assembly, with_context_tuning(ctx, opts));
-}
-
 FvTransientSolution FvModel::solve_transient(double t_end, double dt, double t_initial,
                                              const FvOptions& opts) const {
   return solve_transient(t_end, dt, Vector(grid_.cell_count(), t_initial), opts);
-}
-
-FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end, double dt,
-                                             double t_initial, const FvOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, t_initial, with_context_tuning(ctx, opts));
-}
-
-FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end, double dt,
-                                             const Vector& initial_temperatures,
-                                             const FvOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, initial_temperatures, with_context_tuning(ctx, opts));
 }
 
 FvTransientSolution FvModel::solve_transient(double t_end, double dt,
@@ -881,15 +843,6 @@ FvTransientSolution FvModel::solve_transient(double t_end, double dt,
         out.temperatures.push_back(state);
       });
   return out;
-}
-
-FvTransientSolution FvModel::solve_transient(ExecutionContext& ctx, double t_end, double dt,
-                                             const Vector& initial_temperatures,
-                                             const FvDrive& drive, const FvOptions& opts,
-                                             std::shared_ptr<const FvAssembly> assembly) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, initial_temperatures, drive, with_context_tuning(ctx, opts),
-                         std::move(assembly));
 }
 
 double FvModel::region_max(const Vector& temps, const CellRange& r) const {

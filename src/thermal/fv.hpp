@@ -27,10 +27,6 @@
 #include "numeric/sparse.hpp"
 #include "thermal/convection.hpp"
 
-namespace aeropack {
-class ExecutionContext;
-}
-
 namespace aeropack::thermal {
 
 /// Tensor-product grid: cell sizes along each axis.
@@ -227,10 +223,6 @@ class FvModel {
   void clear_boundary_overrides();
 
   FvSolution solve_steady(const FvOptions& opts = {}) const;
-  /// Same solve, pinned to an ExecutionContext: kernels run on the context's
-  /// pool and telemetry lands in the context's registry. Results are
-  /// bit-identical to the pool-less overload at any thread count.
-  FvSolution solve_steady(ExecutionContext& ctx, const FvOptions& opts = {}) const;
 
   /// Hash of everything a steady/transient assembly depends on: grid
   /// geometry, per-cell conductivities and capacities, z-interfaces, the
@@ -254,9 +246,6 @@ class FvModel {
   /// when it is a transient assembly.
   FvSolution solve_steady(const std::shared_ptr<const FvAssembly>& assembly,
                           const FvOptions& opts = {}) const;
-  FvSolution solve_steady(ExecutionContext& ctx,
-                          const std::shared_ptr<const FvAssembly>& assembly,
-                          const FvOptions& opts = {}) const;
 
   /// Implicit Euler transient from a uniform initial temperature. `dt` is
   /// clamped to `t_end` (a march shorter than one step degenerates to a
@@ -264,16 +253,11 @@ class FvModel {
   /// `t_end`.
   FvTransientSolution solve_transient(double t_end, double dt, double t_initial,
                                       const FvOptions& opts = {}) const;
-  FvTransientSolution solve_transient(ExecutionContext& ctx, double t_end, double dt,
-                                      double t_initial, const FvOptions& opts = {}) const;
 
   /// Implicit Euler transient from a full per-cell initial field (needed by
   /// the manufactured-solutions transient ladder, whose exact initial state
   /// is spatially varying). Same time-step semantics as above.
   FvTransientSolution solve_transient(double t_end, double dt,
-                                      const numeric::Vector& initial_temperatures,
-                                      const FvOptions& opts = {}) const;
-  FvTransientSolution solve_transient(ExecutionContext& ctx, double t_end, double dt,
                                       const numeric::Vector& initial_temperatures,
                                       const FvOptions& opts = {}) const;
 
@@ -287,10 +271,6 @@ class FvModel {
   /// structural_hash(opts, 0.0) (std::invalid_argument otherwise); null
   /// assembles internally. Same step semantics as the undriven overloads.
   FvTransientSolution solve_transient(double t_end, double dt,
-                                      const numeric::Vector& initial_temperatures,
-                                      const FvDrive& drive, const FvOptions& opts = {},
-                                      std::shared_ptr<const FvAssembly> assembly = nullptr) const;
-  FvTransientSolution solve_transient(ExecutionContext& ctx, double t_end, double dt,
                                       const numeric::Vector& initial_temperatures,
                                       const FvDrive& drive, const FvOptions& opts = {},
                                       std::shared_ptr<const FvAssembly> assembly = nullptr) const;

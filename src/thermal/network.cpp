@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/transient_engine.hpp"
-#include "exec/context.hpp"
 #include "numeric/solve_dense.hpp"
 #include "obs/registry.hpp"
 
@@ -208,12 +207,6 @@ SteadySolution ThermalNetwork::solve_steady(const SteadyOptions& opts) const {
   return sol;
 }
 
-SteadySolution ThermalNetwork::solve_steady(ExecutionContext& ctx,
-                                            const SteadyOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_steady(opts);
-}
-
 double ThermalNetwork::node_heat_flow(NodeId id, const Vector& temps) const {
   check_node(id);
   const auto g = evaluate_conductances(temps);
@@ -364,23 +357,6 @@ TransientSolution ThermalNetwork::solve_transient(double t_end, double dt,
                                                   const NetworkDrive& drive,
                                                   const SteadyOptions& opts) const {
   return march_transient(t_end, dt, initial_temperatures, opts, &drive);
-}
-
-TransientSolution ThermalNetwork::solve_transient(ExecutionContext& ctx, double t_end,
-                                                  double dt,
-                                                  const Vector& initial_temperatures,
-                                                  const NetworkDrive& drive,
-                                                  const SteadyOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return march_transient(t_end, dt, initial_temperatures, opts, &drive);
-}
-
-TransientSolution ThermalNetwork::solve_transient(ExecutionContext& ctx, double t_end,
-                                                  double dt,
-                                                  const Vector& initial_temperatures,
-                                                  const SteadyOptions& opts) const {
-  const ExecutionContext::Use use(ctx);
-  return solve_transient(t_end, dt, initial_temperatures, opts);
 }
 
 }  // namespace aeropack::thermal

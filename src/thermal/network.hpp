@@ -17,10 +17,6 @@
 
 #include "numeric/dense.hpp"
 
-namespace aeropack {
-class ExecutionContext;
-}
-
 namespace aeropack::thermal {
 
 using NodeId = std::size_t;
@@ -86,9 +82,6 @@ class ThermalNetwork {
   void set_heat_load(NodeId node, double watts);
 
   SteadySolution solve_steady(const SteadyOptions& opts = {}) const;
-  /// Same solve, pinned to an ExecutionContext (kernels on the context's
-  /// pool, telemetry in its registry; bit-identical results).
-  SteadySolution solve_steady(ExecutionContext& ctx, const SteadyOptions& opts = {}) const;
 
   /// Implicit-Euler transient from a uniform or given initial state.
   /// Diffusion nodes with zero capacitance are treated as quasi-steady
@@ -96,18 +89,11 @@ class ThermalNetwork {
   TransientSolution solve_transient(double t_end, double dt,
                                     const numeric::Vector& initial_temperatures,
                                     const SteadyOptions& opts = {}) const;
-  TransientSolution solve_transient(ExecutionContext& ctx, double t_end, double dt,
-                                    const numeric::Vector& initial_temperatures,
-                                    const SteadyOptions& opts = {}) const;
 
   /// Driver-aware transient: boundary temperatures and load scaling are
   /// re-resolved through `drive` at every step's end time. The undriven
   /// overloads are the drive-less special case of the same march.
   TransientSolution solve_transient(double t_end, double dt,
-                                    const numeric::Vector& initial_temperatures,
-                                    const NetworkDrive& drive,
-                                    const SteadyOptions& opts = {}) const;
-  TransientSolution solve_transient(ExecutionContext& ctx, double t_end, double dt,
                                     const numeric::Vector& initial_temperatures,
                                     const NetworkDrive& drive,
                                     const SteadyOptions& opts = {}) const;

@@ -12,7 +12,8 @@ ac::Equipment box_with_power(double watts, std::size_t n_modules = 1) {
   eq.name = "test box";
   for (std::size_t m = 0; m < n_modules; ++m) {
     ac::Module mod;
-    mod.name = "M" + std::to_string(m);
+    mod.name = "M";
+    mod.name += std::to_string(m);
     ac::Board b;
     b.name = "board";
     ac::Component c;

@@ -54,8 +54,11 @@ TEST(Rack, HotSlotInColdRack) {
   rack.slots[2].peak_flux = 5e3;
   const auto res = ac::solve_rack(rack, ac::celsius_to_kelvin(105.0));
   EXPECT_FALSE(res.slots[2].feasible);
-  for (std::size_t i = 0; i < res.slots.size(); ++i)
-    if (i != 2) EXPECT_TRUE(res.slots[i].feasible) << i;
+  for (std::size_t i = 0; i < res.slots.size(); ++i) {
+    if (i != 2) {
+      EXPECT_TRUE(res.slots[i].feasible) << i;
+    }
+  }
   EXPECT_FALSE(res.all_feasible);
   EXPECT_GT(res.slots[2].exhaust_temperature, res.slots[0].exhaust_temperature + 20.0);
 }

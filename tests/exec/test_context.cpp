@@ -58,27 +58,6 @@ TEST(ExecutionContext, DefaultConfigIsSerialAndDormant) {
   EXPECT_FALSE(ctx.metrics().enabled());
 }
 
-TEST(ExecutionContext, ConfigIsRetainedForSolverTuning) {
-  // Solvers read tuning knobs (cg_chebyshev_degree) back off the context, so
-  // the owning context must keep its construction config verbatim.
-  ExecutionConfig cfg;
-  cfg.threads = 2;
-  cfg.cg_chebyshev_degree = 4;
-  ExecutionContext ctx(cfg);
-  EXPECT_EQ(ctx.config().cg_chebyshev_degree, 4u);
-  EXPECT_EQ(ctx.config().threads, 2u);
-  // The process-wrapping context carries the defaults (degree 0 = plain
-  // Jacobi), so ambient solves keep their golden behavior.
-  EXPECT_EQ(ExecutionContext::process().config().cg_chebyshev_degree, 0u);
-}
-
-TEST(ExecutionContext, ProcessContextWrapsTheSingletons) {
-  ExecutionContext& proc = ExecutionContext::process();
-  EXPECT_EQ(&proc.pool(), &an::ThreadPool::instance());
-  EXPECT_EQ(&proc.metrics(), &obs::Registry::instance());
-  EXPECT_EQ(&ExecutionContext::process(), &proc);
-}
-
 TEST(ExecutionContext, UseBindsPoolAndRegistryAndRestores) {
   an::ThreadPool& default_pool = an::current_pool();
   obs::Registry& default_reg = obs::current();

@@ -61,11 +61,13 @@ TEST(ConcurrentModal, TwoSparseSolvesMatchSerialBitForBit) {
   af::ReducedModes ref_a, ref_b;
   {
     ExecutionContext ctx(cfg);
-    ref_a = af::solve_reduced_modes(ctx, ka, ma, sparse_opts());
+    const ExecutionContext::Use use(ctx);
+    ref_a = af::solve_reduced_modes(ka, ma, sparse_opts());
   }
   {
     ExecutionContext ctx(cfg);
-    ref_b = af::solve_reduced_modes(ctx, kb, mb, sparse_opts());
+    const ExecutionContext::Use use(ctx);
+    ref_b = af::solve_reduced_modes(kb, mb, sparse_opts());
   }
   EXPECT_TRUE(ref_a.used_sparse);
 
@@ -73,11 +75,13 @@ TEST(ConcurrentModal, TwoSparseSolvesMatchSerialBitForBit) {
     af::ReducedModes got_a, got_b;
     std::thread ta([&] {
       ExecutionContext ctx(cfg);
-      got_a = af::solve_reduced_modes(ctx, ka, ma, sparse_opts());
+      const ExecutionContext::Use use(ctx);
+      got_a = af::solve_reduced_modes(ka, ma, sparse_opts());
     });
     std::thread tb([&] {
       ExecutionContext ctx(cfg);
-      got_b = af::solve_reduced_modes(ctx, kb, mb, sparse_opts());
+      const ExecutionContext::Use use(ctx);
+      got_b = af::solve_reduced_modes(kb, mb, sparse_opts());
     });
     ta.join();
     tb.join();
@@ -94,6 +98,7 @@ TEST(ConcurrentModal, ContextSolveMatchesUnboundProcessSolve) {
   board(0.08).reduced_sparse(k, m);
   const af::ReducedModes unbound = af::solve_reduced_modes(k, m, sparse_opts());
   ExecutionContext ctx;  // 1 thread, dormant telemetry
-  const af::ReducedModes bound = af::solve_reduced_modes(ctx, k, m, sparse_opts());
+  const ExecutionContext::Use use(ctx);
+  const af::ReducedModes bound = af::solve_reduced_modes(k, m, sparse_opts());
   expect_modes_bit_identical(bound, unbound, "1-thread context vs unbound");
 }

@@ -1,11 +1,18 @@
 // Two-phase working fluid saturation tables.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "materials/fluids.hpp"
 
 namespace am = aeropack::materials;
+
+namespace aeropack::materials {
+// Print a fluid parameter by name, not by address: gtest_discover_tests
+// builds the test name from this, and an address changes with every run.
+void PrintTo(const WorkingFluid* fluid, std::ostream* os) { *os << fluid->name(); }
+}  // namespace aeropack::materials
 
 TEST(Water, AtmosphericBoilingPoint) {
   const auto s = am::water().saturation(373.15);

@@ -33,7 +33,7 @@ at::FvModel make_card() {
 am::MissionSolution run_at(std::size_t threads) {
   const at::FvModel m = make_card();
   const am::Profile profile = am::Profile::do160_thermal_shock(258.15, 338.15, 20.0, 90.0);
-  aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{threads, false, 0});
+  aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{threads, false});
   am::AdaptiveOptions adaptive;
   adaptive.tolerance = 0.05;
   return am::run_fv_mission(ctx, m, profile, 300.0, adaptive);

@@ -34,7 +34,7 @@ TEST(MissionObs, CountersMatchSolutionBookkeeping) {
   m.set_boundary(at::Face::XMin, at::BoundaryCondition::convection(40.0, 300.0));
 
   const am::Profile profile = am::Profile::cubesat_eclipse(1, 120.0, 0.4, 330.0, 250.0, 0.5);
-  aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{1, true, 0});
+  aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{1, true});
   am::AdaptiveOptions adaptive;
   adaptive.tolerance = 0.02;
   adaptive.dt_initial = 30.0;
@@ -62,8 +62,8 @@ TEST(MissionObs, CountersStayInTheirContext) {
   am::Profile profile("p");
   profile.add_phase(am::Phase::constant("dwell", 30.0, 310.0));
 
-  aeropack::ExecutionContext armed(aeropack::ExecutionConfig{1, true, 0});
-  aeropack::ExecutionContext other(aeropack::ExecutionConfig{1, true, 0});
+  aeropack::ExecutionContext armed(aeropack::ExecutionConfig{1, true});
+  aeropack::ExecutionContext other(aeropack::ExecutionConfig{1, true});
   (void)am::run_fv_mission(armed, m, profile, 300.0);
   EXPECT_GT(at_key(armed.metrics().counters(), "mission.steps"), 0u);
   EXPECT_EQ(at_key(other.metrics().counters(), "mission.steps"), 0u);

@@ -48,11 +48,13 @@ TEST(ConcurrentContexts, TwoSteadySolvesMatchSerialBitForBit) {
   an::Vector ref_a, ref_b;
   {
     ExecutionContext ctx(cfg);
-    ref_a = model_a.solve_steady(ctx).temperatures;
+    const ExecutionContext::Use use(ctx);
+    ref_a = model_a.solve_steady().temperatures;
   }
   {
     ExecutionContext ctx(cfg);
-    ref_b = model_b.solve_steady(ctx).temperatures;
+    const ExecutionContext::Use use(ctx);
+    ref_b = model_b.solve_steady().temperatures;
   }
 
   // A few rounds so TSan gets real interleavings, not one lucky schedule.
@@ -60,11 +62,13 @@ TEST(ConcurrentContexts, TwoSteadySolvesMatchSerialBitForBit) {
     an::Vector got_a, got_b;
     std::thread ta([&] {
       ExecutionContext ctx(cfg);
-      got_a = model_a.solve_steady(ctx).temperatures;
+      const ExecutionContext::Use use(ctx);
+      got_a = model_a.solve_steady().temperatures;
     });
     std::thread tb([&] {
       ExecutionContext ctx(cfg);
-      got_b = model_b.solve_steady(ctx).temperatures;
+      const ExecutionContext::Use use(ctx);
+      got_b = model_b.solve_steady().temperatures;
     });
     ta.join();
     tb.join();
@@ -80,16 +84,19 @@ TEST(ConcurrentContexts, ConcurrentTransientMatchesSerial) {
   an::Vector ref;
   {
     ExecutionContext ctx(cfg);
-    ref = model.solve_transient(ctx, 5.0, 1.0, 300.0).temperatures.back();
+    const ExecutionContext::Use use(ctx);
+    ref = model.solve_transient(5.0, 1.0, 300.0).temperatures.back();
   }
   an::Vector got_a, got_b;
   std::thread ta([&] {
     ExecutionContext ctx(cfg);
-    got_a = model.solve_transient(ctx, 5.0, 1.0, 300.0).temperatures.back();
+    const ExecutionContext::Use use(ctx);
+    got_a = model.solve_transient(5.0, 1.0, 300.0).temperatures.back();
   });
   std::thread tb([&] {
     ExecutionContext ctx(cfg);
-    got_b = model.solve_transient(ctx, 5.0, 1.0, 300.0).temperatures.back();
+    const ExecutionContext::Use use(ctx);
+    got_b = model.solve_transient(5.0, 1.0, 300.0).temperatures.back();
   });
   ta.join();
   tb.join();

@@ -266,7 +266,9 @@ TEST(ThreadPool, SetThreadCountZeroReReadsEnvironment) {
   an::set_thread_count(0);
   EXPECT_GE(an::thread_count(), 1u);
   const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0) EXPECT_EQ(an::thread_count(), static_cast<std::size_t>(hw));
+  if (hw > 0) {
+    EXPECT_EQ(an::thread_count(), static_cast<std::size_t>(hw));
+  }
 
   if (old_env != nullptr)
     setenv("AEROPACK_THREADS", saved.c_str(), 1);

@@ -115,8 +115,11 @@ TEST(RomContracts, PortConductanceSymmetricZeroRowSums) {
     for (std::size_t q = 0; q < k.cols(); ++q) row += k(p, q);
     EXPECT_NEAR(row, 0.0, 1e-8) << "port " << p;
     EXPECT_GT(k(p, p), 0.0);
-    for (std::size_t q = 0; q < k.cols(); ++q)
-      if (q != p) EXPECT_LT(k(p, q), 0.0);
+    for (std::size_t q = 0; q < k.cols(); ++q) {
+      if (q != p) {
+        EXPECT_LT(k(p, q), 0.0);
+      }
+    }
   }
 }
 

@@ -101,13 +101,13 @@ TEST(RomDeterminism, EvaluationBitIdenticalAcrossThreadCounts) {
 TEST(RomDeterminism, ContextPinnedBuildMatchesProcessPool) {
   // Building inside an ExecutionContext (own pool, own registry) must give
   // the exact same compact model as the process-default path — this is what
-  // lets ScenarioRunner campaigns mix ROM builds into isolated scenarios.
+  // lets service scenarios build ROMs inside their isolated contexts.
   ThreadCountGuard guard;
   const ar::CanonicalCase c = ar::seb_box();
   an::set_thread_count(1);
   const ar::RomModel reference = ar::build_rom(c.model, c.spec);
   for (std::size_t t : kThreadSweep) {
-    aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{t, true, 0});
+    aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{t, true});
     aeropack::ExecutionContext::Use use(ctx);
     const ar::RomModel rom = ar::build_rom(c.model, c.spec);
     expect_matrix_identical(rom.basis(), reference.basis(), "context basis", t);

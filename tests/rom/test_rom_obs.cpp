@@ -25,7 +25,7 @@ std::uint64_t at(const std::map<std::string, std::uint64_t>& counters, const std
 
 TEST(RomObs, BuildAndEvalCountersMatchBuildInfo) {
   const ar::CanonicalCase c = ar::fig2_board();
-  aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{1, true, 0});
+  aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{1, true});
   ar::RomModel rom = [&] {
     aeropack::ExecutionContext::Use use(ctx);
     return ar::build_rom(c.model, c.spec);
@@ -61,8 +61,8 @@ TEST(RomObs, BuildAndEvalCountersMatchBuildInfo) {
 
 TEST(RomObs, ContextsIsolateRomCounters) {
   const ar::CanonicalCase c = ar::fig2_board();
-  aeropack::ExecutionContext a(aeropack::ExecutionConfig{1, true, 0});
-  aeropack::ExecutionContext b(aeropack::ExecutionConfig{1, true, 0});
+  aeropack::ExecutionContext a(aeropack::ExecutionConfig{1, true});
+  aeropack::ExecutionContext b(aeropack::ExecutionConfig{1, true});
   {
     aeropack::ExecutionContext::Use use(a);
     (void)ar::build_rom(c.model, c.spec);

@@ -1,15 +1,22 @@
 // core::ScenarioService — submission/dedup/wait semantics, graph registry,
-// error capture, telemetry capture (counters + gauges) and the options
-// validation conventions shared with ScenarioRunner.
+// error capture, telemetry capture (counters + gauges), options validation
+// and the plain batch semantics (dedup and cache off): submission order,
+// bit-identical outputs at every worker count, per-scenario counter
+// isolation and fresh counters on re-submission, failures included.
 #include "core/scenario_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
+#include "materials/solid.hpp"
+#include "obs/registry.hpp"
 #include "rom/service_graphs.hpp"
+#include "thermal/fv.hpp"
 
 namespace ac = aeropack::core;
+namespace at = aeropack::thermal;
 
 namespace {
 
@@ -21,15 +28,43 @@ ac::ScenarioSpec seb_spec(const std::string& name, double power_w) {
   return spec;
 }
 
+/// The plain batch executor: every submission is one cold solve with its
+/// own counters.
+ac::ScenarioServiceOptions batch_options(std::size_t workers) {
+  ac::ScenarioServiceOptions opts;
+  opts.workers = workers;
+  opts.deduplicate = false;
+  opts.use_cache = false;
+  return opts;
+}
+
+ac::ScenarioSpec slab_spec(const std::string& name, double power_w) {
+  ac::ScenarioSpec spec;
+  spec.name = name;
+  spec.graph = "fv_slab_steady";
+  spec.loads = {{"power_w", power_w}};
+  return spec;
+}
+
+/// One small FV slab solve — leaves an fv.steady_solves trail in whichever
+/// registry is bound.
+void solve_slab(double power_w) {
+  at::FvModel slab(at::FvGrid::uniform(0.1, 0.02, 0.01, 8, 2, 2));
+  slab.set_material(aeropack::materials::aluminum_6061());
+  slab.add_power({0, 8, 0, 2, 0, 2}, power_w);
+  slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(300.0));
+  slab.solve_steady();
+}
+
+std::uint64_t counter_of(const ac::ScenarioResult& r, const std::string& key) {
+  const auto it = r.counters.find(key);
+  return it == r.counters.end() ? 0u : it->second;
+}
+
 TEST(ScenarioService, ZeroWorkersThrows) {
   ac::ScenarioServiceOptions opts;
   opts.workers = 0;
   EXPECT_THROW(ac::ScenarioService service(opts), std::invalid_argument);
-}
-
-TEST(ScenarioService, EmptyOpaqueScenarioThrows) {
-  ac::ScenarioService service;
-  EXPECT_THROW(service.submit("nothing", ac::ScenarioFn{}), std::invalid_argument);
 }
 
 TEST(ScenarioService, WaitOnDefaultTicketThrows) {
@@ -164,6 +199,137 @@ TEST(ScenarioService, ThrowingGraphIsCapturedPerScenario) {
   EXPECT_FALSE(results[0].ok);
   EXPECT_EQ(results[0].error, "scenario exploded");
   EXPECT_TRUE(results[0].values.empty());
+}
+
+TEST(ScenarioService, BatchResultsComeBackInSubmissionOrder) {
+  ac::ScenarioService service(batch_options(4));
+  service.register_graph("echo", [](const ac::ScenarioSpec& spec, aeropack::ExecutionContext&) {
+    return std::map<std::string, double>{{"v", spec.loads.at("v")}};
+  });
+  std::vector<ac::ScenarioSpec> specs;
+  for (int i = 0; i < 9; ++i) {
+    ac::ScenarioSpec spec;
+    spec.name = "s" + std::to_string(i);
+    spec.graph = "echo";
+    spec.loads = {{"v", 1.5 * i}};
+    specs.push_back(spec);
+  }
+  const std::vector<ac::ScenarioResult> results = service.run(specs);
+  ASSERT_EQ(results.size(), 9u);
+  for (int i = 0; i < 9; ++i) {
+    EXPECT_EQ(results[i].name, "s" + std::to_string(i));
+    ASSERT_TRUE(results[i].ok) << results[i].error;
+    EXPECT_DOUBLE_EQ(results[i].values.at("v"), 1.5 * i);
+  }
+}
+
+TEST(ScenarioService, BatchOutputsBitIdenticalAcrossWorkerCounts) {
+  std::vector<ac::ScenarioSpec> specs;
+  for (const double q : {2.0, 5.0, 9.0, 13.0})
+    specs.push_back(slab_spec("q" + std::to_string(static_cast<int>(q)), q));
+  ac::ScenarioService serial_service(batch_options(1));
+  const std::vector<ac::ScenarioResult> serial = serial_service.run(specs);
+  for (const std::size_t w : {2u, 4u}) {
+    ac::ScenarioService service(batch_options(w));
+    const std::vector<ac::ScenarioResult> batch = service.run(specs);
+    ASSERT_EQ(batch.size(), serial.size()) << w << " workers";
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(batch[i].ok) << batch[i].error;
+      // Exact equality: same context config => same pool partition and
+      // chunked reductions => the same bits.
+      EXPECT_EQ(batch[i].values, serial[i].values) << w << " workers, scenario " << i;
+    }
+  }
+}
+
+TEST(ScenarioService, EachScenarioGetsItsOwnCounterProfile) {
+  ac::ScenarioService service(batch_options(2));
+  service.register_graph("two_slabs", [](const ac::ScenarioSpec&, aeropack::ExecutionContext&) {
+    solve_slab(5.0);
+    solve_slab(7.0);
+    return std::map<std::string, double>{};
+  });
+  ac::ScenarioSpec two;
+  two.name = "two_solves";
+  two.graph = "two_slabs";
+  const auto results = service.run({slab_spec("one_solve", 5.0), two});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(counter_of(results[0], "fv.steady_solves"), 1u);
+  EXPECT_EQ(counter_of(results[1], "fv.steady_solves"), 2u);
+  EXPECT_GT(counter_of(results[0], "fv.cg_iterations"), 0u);
+}
+
+TEST(ScenarioService, FailedScenarioKeepsItsCountersAndResubmitsIdentically) {
+  ac::ScenarioService service(batch_options(2));
+  service.register_graph("solve_then_throw", [](const ac::ScenarioSpec&,
+                                                aeropack::ExecutionContext&)
+                                                 -> std::map<std::string, double> {
+    solve_slab(5.0);  // leaves a counter trail before failing
+    throw std::runtime_error("diverged after the solve");
+  });
+  ac::ScenarioSpec bad;
+  bad.name = "bad";
+  bad.graph = "solve_then_throw";
+  const auto first = service.run({slab_spec("good", 4.0), bad});
+  const auto second = service.run({slab_spec("good", 4.0), bad});
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_TRUE(first[0].ok);
+  EXPECT_TRUE(second[0].ok);
+  EXPECT_FALSE(first[1].ok);
+  EXPECT_FALSE(second[1].ok);
+  EXPECT_EQ(first[1].error, "diverged after the solve");
+  EXPECT_EQ(second[1].error, first[1].error);
+  // A failed scenario still reports the counters it accrued — identically
+  // on re-submission, because each execution drives a fresh registry.
+  EXPECT_EQ(counter_of(first[1], "fv.steady_solves"), 1u);
+  EXPECT_EQ(first[1].counters, second[1].counters);
+  EXPECT_EQ(first[0].counters, second[0].counters);
+}
+
+TEST(ScenarioService, ResubmissionGetsFreshCounters) {
+  ac::ScenarioService service(batch_options(1));
+  const auto first = service.run({slab_spec("slab", 6.0)});
+  const auto second = service.run({slab_spec("slab", 6.0)});
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  ASSERT_TRUE(first[0].ok) << first[0].error;
+  ASSERT_TRUE(second[0].ok) << second[0].error;
+  EXPECT_EQ(first[0].values, second[0].values);
+  // Fresh context per execution: counters do not accumulate across runs.
+  EXPECT_EQ(counter_of(first[0], "fv.steady_solves"), 1u);
+  EXPECT_EQ(counter_of(second[0], "fv.steady_solves"), 1u);
+}
+
+TEST(ScenarioService, TelemetryBatchLeavesTheProcessRegistryUntouched) {
+  const auto before = aeropack::obs::Registry::instance().counters();
+  ac::ScenarioServiceOptions opts = batch_options(2);
+  opts.telemetry = true;
+  ac::ScenarioService service(opts);
+  for (const auto& r : service.run({slab_spec("a", 3.0), slab_spec("b", 8.0)}))
+    ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(aeropack::obs::Registry::instance().counters(), before);
+}
+
+TEST(ScenarioService, MoreWorkersThanScenariosIsFine) {
+  ac::ScenarioService service(batch_options(16));
+  const auto results = service.run({slab_spec("only", 4.0)});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].ok) << results[0].error;
+}
+
+TEST(ScenarioService, CountParamsWithUndefinedConversionsAreRefused) {
+  ac::ScenarioService service;
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(), 1e300, -3.0, 0.5};
+  for (const double v : bad_values) {
+    ac::ScenarioSpec spec = slab_spec("bad_nx", 5.0);
+    spec.params["nx"] = v;
+    const auto results = service.run({spec});
+    EXPECT_FALSE(results[0].ok) << "nx = " << v;
+    EXPECT_NE(results[0].error.find("'nx'"), std::string::npos) << results[0].error;
+  }
 }
 
 }  // namespace

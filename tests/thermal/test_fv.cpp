@@ -4,9 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "exec/context.hpp"
 #include "materials/solid.hpp"
-#include "numeric/grain.hpp"
 #include "thermal/fv.hpp"
 
 namespace at = aeropack::thermal;
@@ -227,68 +225,4 @@ TEST(FvModel, ArithmeticSchemeDiffersOnContrast) {
   const double t_h = harm.temperatures[10];
   const double t_a = arith.temperatures[10];
   EXPECT_GT(std::fabs(t_h - t_a), 0.5);
-}
-
-namespace {
-/// A 3-D block with a hot component footprint and convective walls — big
-/// enough (24^3) that the Chebyshev polynomial has a spectrum to bite on.
-at::FvModel component_block() {
-  at::FvModel m(at::FvGrid::uniform(0.1, 0.1, 0.1, 24, 24, 24));
-  m.set_material(am::aluminum_6061());
-  m.add_power({6, 18, 6, 18, 0, 3}, 40.0);
-  m.set_boundary(at::Face::ZMax, at::BoundaryCondition::convection(25.0, 300.0));
-  m.set_boundary(at::Face::XMin, at::BoundaryCondition::convection(10.0, 300.0));
-  return m;
-}
-}  // namespace
-
-TEST(FvChebyshev, CutsCgIterationsWithoutMovingTheField) {
-  const at::FvModel m = component_block();
-  const auto jacobi = m.solve_steady();
-  ASSERT_TRUE(jacobi.converged);
-
-  at::FvOptions opts;
-  opts.linear.chebyshev_degree = 3;
-  const auto cheby = m.solve_steady(opts);
-  ASSERT_TRUE(cheby.converged);
-
-  // The PR's acceptance bar: >= 30% fewer inner CG iterations.
-  EXPECT_LE(cheby.linear_iterations, (jacobi.linear_iterations * 7) / 10)
-      << "cheby " << cheby.linear_iterations << " vs jacobi " << jacobi.linear_iterations;
-
-  // Same discrete system, same converged field (both at the default 1e-10
-  // relative residual).
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < jacobi.temperatures.size(); ++i)
-    max_diff = std::max(max_diff,
-                        std::fabs(cheby.temperatures[i] - jacobi.temperatures[i]));
-  EXPECT_LT(max_diff, 1e-5);
-}
-
-TEST(FvChebyshev, ContextConfigEnablesItBitIdenticallyAcrossThreads) {
-  // cg_chebyshev_degree flows ExecutionConfig -> context solve_steady ->
-  // IterativeOptions, and the accelerated solve stays bit-identical across
-  // thread counts (forced through the real pool, not the serial fallback).
-  const at::FvModel m = component_block();
-  const auto plain = m.solve_steady();
-  ASSERT_TRUE(plain.converged);
-
-  aeropack::numeric::grain::ScopedForceFanOut force;
-  at::FvSolution ref;
-  for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    aeropack::ExecutionConfig cfg;
-    cfg.threads = t;
-    cfg.cg_chebyshev_degree = 3;
-    aeropack::ExecutionContext ctx(cfg);
-    const at::FvSolution sol = m.solve_steady(ctx);
-    ASSERT_TRUE(sol.converged);
-    // The context config actually engaged the accelerated path.
-    EXPECT_LT(sol.linear_iterations, plain.linear_iterations);
-    if (t == 1) {
-      ref = sol;
-      continue;
-    }
-    EXPECT_EQ(sol.linear_iterations, ref.linear_iterations) << "t=" << t;
-    EXPECT_EQ(sol.temperatures, ref.temperatures) << "t=" << t;
-  }
 }

@@ -47,8 +47,9 @@ void expect_ladder_contract(const av::RomLadderResult& ladder) {
   // zero (full basis) the true error must be at verification accuracy.
   for (const auto& rung : ladder.rungs) {
     EXPECT_GE(rung.energy_error, 0.0);
-    if (rung.rank < ladder.rungs.size())
+    if (rung.rank < ladder.rungs.size()) {
       EXPECT_GT(rung.estimate, 0.0) << "truncated rank " << rung.rank;
+    }
   }
 }
 

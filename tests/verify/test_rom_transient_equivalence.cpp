@@ -41,8 +41,9 @@ void expect_ladder_contract(const av::RomTransientLadderResult& ladder) {
   for (const auto& rung : ladder.rungs) {
     EXPECT_GE(rung.trace_error, 0.0);
     EXPECT_GE(rung.final_error, 0.0);
-    if (rung.rank < ladder.rungs.size())
+    if (rung.rank < ladder.rungs.size()) {
       EXPECT_GT(rung.estimate, 0.0) << "truncated rank " << rung.rank;
+    }
   }
 }
 
