@@ -45,8 +45,8 @@ std::map<std::string, double> fv_slab_steady(const ScenarioSpec& spec, Execution
   at::FvSolution sol;
   if (ArtifactCache* cache = ctx.artifact_cache()) {
     const auto assembly = cache->get_or_build<at::FvAssembly>(
-        slab.structural_hash(fv_opts, 0.0),
-        [&] { return slab.build_assembly(fv_opts, 0.0); },
+        slab.structural_hash(fv_opts),
+        [&] { return slab.build_assembly(fv_opts); },
         [](const at::FvAssembly& a) { return a.cost_bytes(); });
     sol = slab.solve_steady(assembly, fv_opts);
   } else {

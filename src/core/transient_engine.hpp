@@ -51,7 +51,7 @@ concept TransientSystem =
       { cs.error_norm(a, a) } -> std::convertible_to<double>;
     };
 
-/// PI step-size controller knobs for march_adaptive. Defaults suit the
+/// Step-size controller options for march_adaptive. Defaults suit the
 /// coarse qualification models (SEB box, Fig. 2 board); tighten `tolerance`
 /// for fine grids.
 struct AdaptiveOptions {
@@ -59,13 +59,6 @@ struct AdaptiveOptions {
   double dt_initial = 1.0;  ///< first attempted step [s]
   double dt_min = 1e-3;     ///< smallest controller step [s]
   double dt_max = 60.0;     ///< largest controller step [s]
-  double safety = 0.9;      ///< classic controller safety factor
-  double shrink_limit = 0.2;  ///< max per-step shrink factor
-  double grow_limit = 4.0;    ///< max per-step growth factor
-  /// PI gains for first-order implicit Euler: factor =
-  /// safety * (tol/err)^k_i * (err_prev/err)^k_p, clamped to the limits.
-  double k_i = 0.35;
-  double k_p = 0.2;
   /// Hard cap on attempted steps (accepted + rejected); exceeding it throws
   /// std::runtime_error — the march is diverging or dt_min is too small.
   std::size_t max_steps = 200000;
@@ -155,6 +148,13 @@ MarchStats march_adaptive(const char* where, S& stepper, numeric::Vector& state,
   check_adaptive_options(where, adaptive);
   check_state_size(where, state.size(), stepper.state_size());
 
+  // PI controller for first-order implicit Euler: factor =
+  // kSafety * (tol/err)^kI * (err_prev/err)^kP, clamped to the limits.
+  constexpr double kSafety = 0.9;
+  constexpr double kShrinkLimit = 0.2;  // max per-step shrink factor
+  constexpr double kGrowLimit = 4.0;    // max per-step growth factor
+  constexpr double kI = 0.35;
+  constexpr double kP = 0.2;
   const auto clamp = [](double v, double lo, double hi) { return std::min(hi, std::max(lo, v)); };
 
   MarchStats out;
@@ -202,12 +202,11 @@ MarchStats march_adaptive(const char* where, S& stepper, numeric::Vector& state,
       if (landed) out.boundary_landings += 1;
       on_accept(t, state, landed);
 
-      double factor = adaptive.grow_limit;
+      double factor = kGrowLimit;
       if (err > 0.0) {
-        factor = adaptive.safety * std::pow(adaptive.tolerance / err, adaptive.k_i) *
-                 std::pow(err_prev / err, adaptive.k_p);
+        factor = kSafety * std::pow(adaptive.tolerance / err, kI) * std::pow(err_prev / err, kP);
       }
-      factor = clamp(factor, adaptive.shrink_limit, adaptive.grow_limit);
+      factor = clamp(factor, kShrinkLimit, kGrowLimit);
       double next_want = clamp(dt_try * factor, adaptive.dt_min, adaptive.dt_max);
       // A boundary-clamped step says nothing about accuracy at dt_want;
       // keep the controller's ambition instead of shrinking toward slivers.
@@ -217,8 +216,7 @@ MarchStats march_adaptive(const char* where, S& stepper, numeric::Vector& state,
     } else {
       out.steps_rejected += 1;
       on_reject();
-      const double factor =
-          clamp(adaptive.safety * std::sqrt(adaptive.tolerance / err), adaptive.shrink_limit, 0.9);
+      const double factor = clamp(kSafety * std::sqrt(adaptive.tolerance / err), kShrinkLimit, 0.9);
       dt_want = std::max(adaptive.dt_min, dt_try * factor);
     }
   }

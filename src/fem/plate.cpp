@@ -6,6 +6,7 @@
 #include <map>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "numeric/assembly.hpp"
@@ -159,12 +160,26 @@ std::size_t PlateModel::nearest_node(double x, double y) const {
   return node_index(std::min(i, nx_), std::min(j, ny_));
 }
 
+namespace {
+// nearest_node clamps onto the plate, so an off-plate or NaN point would
+// silently snap to an edge node: refuse it instead, naming the coordinate.
+void check_on_plate(const char* where, double x, double y, double lx, double ly) {
+  if (!(x >= 0.0 && x <= lx))
+    throw std::invalid_argument(std::string(where) + ": x must be finite and on the plate");
+  if (!(y >= 0.0 && y <= ly))
+    throw std::invalid_argument(std::string(where) + ": y must be finite and on the plate");
+}
+}  // namespace
+
 void PlateModel::add_point_support(double x, double y) {
+  check_on_plate("PlateModel::add_point_support", x, y, lx_, ly_);
   point_supports_.push_back(nearest_node(x, y));
 }
 
 void PlateModel::add_point_mass(double x, double y, double mass) {
-  if (mass <= 0.0) throw std::invalid_argument("add_point_mass: mass must be > 0");
+  check_on_plate("PlateModel::add_point_mass", x, y, lx_, ly_);
+  if (!std::isfinite(mass) || mass <= 0.0)
+    throw std::invalid_argument("PlateModel::add_point_mass: mass must be finite and > 0");
   point_masses_.emplace_back(nearest_node(x, y), mass);
 }
 

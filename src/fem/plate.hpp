@@ -47,8 +47,11 @@ class PlateModel {
   /// Edge boundary conditions (default: all free).
   void set_edge(EdgeSupport support, bool x_min, bool x_max, bool y_min, bool y_max);
   /// Point support (wedge-lock / standoff): w = 0 at the node nearest (x, y).
+  /// Throws std::invalid_argument for a point off the plate or non-finite.
   void add_point_support(double x, double y);
-  /// Lumped component mass [kg] at the node nearest (x, y).
+  /// Lumped component mass [kg] at the node nearest (x, y). Throws
+  /// std::invalid_argument for a point off the plate or non-finite, or a
+  /// mass that is not finite and positive.
   void add_point_mass(double x, double y, double mass);
   /// Uniform smeared non-structural mass [kg/m^2] (components, conformal coat).
   void add_smeared_mass(double mass_per_area);

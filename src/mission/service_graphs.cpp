@@ -54,8 +54,8 @@ std::map<std::string, double> run_mission_graph(const at::FvModel& model, const 
   std::shared_ptr<const at::FvAssembly> assembly;
   if (core::ArtifactCache* cache = ctx.artifact_cache()) {
     assembly = cache->get_or_build<at::FvAssembly>(
-        model.structural_hash(fv_opts, 0.0),
-        [&] { return model.build_assembly(fv_opts, 0.0); },
+        model.structural_hash(fv_opts),
+        [&] { return model.build_assembly(fv_opts); },
         [](const at::FvAssembly& a) { return a.cost_bytes(); });
   }
   const MissionSolution sol =

@@ -36,8 +36,8 @@ class ExecutionContext;
 
 namespace aeropack::mission {
 
-/// PI step-size controller knobs — the engine's options verbatim
-/// (core::AdaptiveOptions documents every knob). Defaults suit the coarse
+/// Step-size controller options — the engine's options verbatim
+/// (core::AdaptiveOptions documents each one). Defaults suit the coarse
 /// qualification models (SEB box, Fig. 2 board); tighten `tolerance` for
 /// fine grids. One options struct serves every fidelity: the tolerance is
 /// in kelvin at FV, network and ROM fidelity alike.

@@ -21,7 +21,7 @@ std::uint64_t rom_key(const thermal::FvModel& model, const RomSpec& spec,
   numeric::StructuralHasher h;
   h.add(std::string_view("rom.model"));
   // Geometry, materials, interfaces and the face-conductance scheme.
-  h.add(model.structural_hash(opts.fv, 0.0));
+  h.add(model.structural_hash(opts.fv));
   h.add(static_cast<std::uint64_t>(spec.ports.size()));
   for (const RomPort& p : spec.ports) {
     h.add(std::string_view(p.name));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "core/transient_engine.hpp"
 #include "numeric/hashing.hpp"
@@ -160,6 +161,8 @@ void FvModel::add_interface_z(std::size_t k_plane, double specific_resistance) {
 
 void FvModel::add_power(const CellRange& r, double watts) {
   check_range(r);
+  if (!std::isfinite(watts))
+    throw std::invalid_argument("FvModel::add_power: watts must be finite");
   double vol = 0.0;
   for (std::size_t k = r.k0; k < r.k1; ++k)
     for (std::size_t j = r.j0; j < r.j1; ++j)
@@ -181,11 +184,27 @@ void FvModel::add_power_density(const std::function<double(double, double, doubl
 
 void FvModel::clear_power() { std::fill(source_.begin(), source_.end(), 0.0); }
 
+namespace {
+// Refuse non-finite fields by name. Range checks (e.g. positive kelvin) stay
+// with the callers: the ROM builder applies 0 K superposition sinks.
+void check_finite(const char* where, const BoundaryCondition& bc) {
+  const std::pair<const char*, double> fields[] = {
+      {"temperature", bc.temperature}, {"h", bc.h}, {"flux", bc.flux},
+      {"emissivity", bc.emissivity}, {"characteristic_length", bc.characteristic_length},
+      {"pressure", bc.pressure}};
+  for (const auto& [name, value] : fields)
+    if (!std::isfinite(value))
+      throw std::invalid_argument(std::string(where) + ": boundary " + name + " must be finite");
+}
+}  // namespace
+
 void FvModel::set_boundary(Face f, const BoundaryCondition& bc) {
+  check_finite("FvModel::set_boundary", bc);
   default_bc_[static_cast<std::size_t>(f)] = bc;
 }
 
 void FvModel::set_boundary_patch(Face f, const CellRange& r, const BoundaryCondition& bc) {
+  check_finite("FvModel::set_boundary_patch", bc);
   auto& patches = patch_bc_[static_cast<std::size_t>(f)];
   switch (f) {
     case Face::XMin:
@@ -349,11 +368,19 @@ std::size_t FvAssembly::cost_bytes() const {
   return sizeof(FvAssembly) +
          matrix.values().size() * (sizeof(double) + sizeof(std::size_t)) +
          matrix.row_ptr().size() * sizeof(std::size_t) +
-         base_values.size() * sizeof(double) + diag_index.size() * sizeof(std::size_t) +
-         capacity.size() * sizeof(double);
+         base_values.size() * sizeof(double) + diag_index.size() * sizeof(std::size_t);
 }
 
+namespace {
+// Assemblies carry no time step (transient marches add capacity/dt per
+// step); the parameter remains only for callers that pass 0.0.
+void check_no_inv_dt(const char* where, double inv_dt) {
+  if (inv_dt != 0.0) throw std::invalid_argument(std::string(where) + ": inv_dt must be 0");
+}
+}  // namespace
+
 std::uint64_t FvModel::structural_hash(const FvOptions& opts, double inv_dt) const {
+  check_no_inv_dt("FvModel::structural_hash", inv_dt);
   numeric::StructuralHasher h;
   h.add("thermal.fv_assembly");
   // Grid geometry as exact cell-size bits.
@@ -370,12 +397,13 @@ std::uint64_t FvModel::structural_hash(const FvOptions& opts, double inv_dt) con
   for (const auto& [plane, r_spec] : interfaces_z_)
     h.add(static_cast<std::uint64_t>(plane)).add(r_spec);
   h.add(static_cast<std::uint64_t>(opts.scheme));
-  h.add(inv_dt);
+  h.add(inv_dt);  // always 0.0; still hashed so every key, and so its cache shard, is stable
   return h.value();
 }
 
 std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
                                                           double inv_dt) const {
+  check_no_inv_dt("FvModel::build_assembly", inv_dt);
   static thread_local obs::CounterHandle assemblies{"fv.structure_assemblies"};
   assemblies.add();
   obs::ScopedTimer span("fv.assemble_structure");
@@ -409,17 +437,7 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
       numeric::grain::Work::elements(n, numeric::grain::Cost::kCell));
 
   auto cache = std::make_shared<FvAssembly>();
-  cache->inv_dt = inv_dt;
-  cache->structural_hash = structural_hash(opts, inv_dt);
-  if (inv_dt > 0.0) {
-    cache->capacity.assign(n, 0.0);
-    for (std::size_t k = 0; k < nz; ++k)
-      for (std::size_t j = 0; j < ny; ++j)
-        for (std::size_t i = 0; i < nx; ++i) {
-          const std::size_t c = grid_.index(i, j, k);
-          cache->capacity[c] = rho_cp_[c] * grid_.cell_volume(i, j, k) * inv_dt;
-        }
-  }
+  cache->structural_hash = structural_hash(opts);
 
   // Symbolic structure: 7-point stencil, columns emitted in ascending order
   // (offsets -sxy < -nx < -1 < 0 < +1 < +nx < +sxy for existing neighbors),
@@ -446,7 +464,7 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
         for (std::size_t i = 0; i < nx; ++i) {
           const std::size_t c = grid_.index(i, j, k);
           std::size_t w = row_ptr[c];
-          double diag = cache->capacity.empty() ? 0.0 : cache->capacity[c];
+          double diag = 0.0;
           const auto off_diag = [&](std::size_t col, double g) {
             col_idx[w] = col;
             cache->base_values[w] = -g;
@@ -473,27 +491,16 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
   return cache;
 }
 
-numeric::Vector FvModel::build_base_rhs() const {
-  // Static right-hand side: volumetric sources + prescribed boundary fluxes.
-  Vector base_rhs = source_;
-  for_each_boundary_face(grid_, kx_, ky_, kz_, [&](const BoundaryFaceView& f) {
-    const BoundaryCondition& bc = boundary_for(f.face, f.a, f.b);
-    if (bc.kind == BoundaryKind::HeatFlux)
-      base_rhs[grid_.index(f.i, f.j, f.k)] += bc.flux * f.area;
-  });
-  return base_rhs;
-}
-
 FvModel::Workspace FvModel::make_workspace(std::shared_ptr<const FvAssembly> assembly) const {
   Workspace ws;
   ws.matrix = assembly->matrix;  // private working copy; the shared artifact stays immutable
-  ws.base_rhs = build_base_rhs();
   ws.assembly = std::move(assembly);
   return ws;
 }
 
-void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps,
-                                    const Vector* prev, Vector& rhs) const {
+void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps, Vector& rhs,
+                                    const FvDrive* drive, double t, const Vector* capacity,
+                                    double inv_dt) const {
   static thread_local obs::CounterHandle updates{"fv.boundary_updates"};
   updates.add();
   obs::ScopedTimer span("fv.update_boundary");
@@ -504,47 +511,22 @@ void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps,
               a.base_values.begin() + static_cast<std::ptrdiff_t>(hi),
               values.begin() + static_cast<std::ptrdiff_t>(lo));
   });
-  rhs = ws.base_rhs;
-  if (!a.capacity.empty() && prev) {
-    numeric::parallel_for(0, rhs.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t c = lo; c < hi; ++c) rhs[c] += a.capacity[c] * (*prev)[c];
-    });
-  }
-  // Boundary films are the only temperature-dependent coefficients; the
-  // surface is O(n^(2/3)) so this per-pass rewrite is cheap.
-  for_each_boundary_face(grid_, kx_, ky_, kz_, [&](const BoundaryFaceView& f) {
-    const BoundaryCondition& bc = boundary_for(f.face, f.a, f.b);
-    if (bc.kind == BoundaryKind::HeatFlux) return;  // already in base_rhs
-    const std::size_t c = grid_.index(f.i, f.j, f.k);
-    const double g = boundary_conductance(bc, f.area, f.half, f.k_cell, temps[c]);
-    if (g <= 0.0) return;
-    values[a.diag_index[c]] += g;
-    rhs[c] += g * bc.temperature;
-  });
-}
-
-void FvModel::update_driven_terms(Workspace& ws, const Vector& temps, const Vector& prev,
-                                  const Vector& capacity, double inv_dt, double t,
-                                  const FvDrive* drive, Vector& rhs) const {
-  static thread_local obs::CounterHandle updates{"fv.boundary_updates"};
-  updates.add();
-  obs::ScopedTimer span("fv.update_boundary");
-  const FvAssembly& a = *ws.assembly;
-  std::vector<double>& values = ws.matrix.values();
-  numeric::parallel_for(0, values.size(), [&](std::size_t lo, std::size_t hi) {
-    std::copy(a.base_values.begin() + static_cast<std::ptrdiff_t>(lo),
-              a.base_values.begin() + static_cast<std::ptrdiff_t>(hi),
-              values.begin() + static_cast<std::ptrdiff_t>(lo));
-  });
-  // The workspace is steady (no baked capacity): the implicit-Euler terms
-  // join per step, so the same shared assembly serves every step size.
+  // The assembly carries no capacity: a transient step's implicit-Euler
+  // terms join here, so the same shared assembly serves every step size.
   const double ps = (drive && drive->power_scale) ? drive->power_scale(t) : 1.0;
+  rhs.resize(source_.size());
   numeric::parallel_for(0, rhs.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t c = lo; c < hi; ++c) {
-      values[a.diag_index[c]] += capacity[c] * inv_dt;
-      rhs[c] = ps * source_[c] + capacity[c] * inv_dt * prev[c];
+      if (!capacity) {
+        rhs[c] = ps * source_[c];
+        continue;
+      }
+      values[a.diag_index[c]] += (*capacity)[c] * inv_dt;
+      rhs[c] = ps * source_[c] + (*capacity)[c] * inv_dt * temps[c];
     }
   });
+  // Boundary films are the only temperature-dependent coefficients; the
+  // surface is O(n^(2/3)) so this per-pass rewrite is cheap.
   for_each_boundary_face(grid_, kx_, ky_, kz_, [&](const BoundaryFaceView& f) {
     const BoundaryCondition& stored = boundary_for(f.face, f.a, f.b);
     const BoundaryCondition bc =
@@ -567,13 +549,12 @@ FvTransientStepper::FvTransientStepper(const FvModel& model, const FvOptions& op
                                        std::shared_ptr<const FvAssembly> assembly)
     : model_(&model), opts_(opts) {
   if (!assembly) {
-    assembly = model.build_assembly(opts, 0.0);
+    assembly = model.build_assembly(opts);
     structure_assemblies_ = 1;
-  } else if (assembly->inv_dt != 0.0 ||
-             assembly->structural_hash != model.structural_hash(opts, 0.0)) {
+  } else if (assembly->structural_hash != model.structural_hash(opts)) {
     throw std::invalid_argument(
         "FvTransientStepper: shared assembly does not match this model "
-        "(must be steady and structurally identical)");
+        "(structural hash differs)");
   }
   ws_ = model.make_workspace(std::move(assembly));
   capacity_ = model.cell_capacities();
@@ -586,7 +567,7 @@ std::size_t FvTransientStepper::step(Vector& temps, double t_next, double dt,
   core::check_state_size("FvTransientStepper::step", temps.size(), capacity_.size());
   static thread_local obs::CounterHandle transient_steps{"fv.transient_steps"};
   static thread_local obs::CounterHandle warmstart_hits{"fv.warmstart_hits"};
-  model_->update_driven_terms(ws_, temps, temps, capacity_, 1.0 / dt, t_next, drive, rhs_);
+  model_->update_boundary_terms(ws_, temps, rhs_, drive, t_next, &capacity_, 1.0 / dt);
   const auto lin = numeric::conjugate_gradient(ws_.matrix, rhs_, opts_.linear, &temps);
   if (!lin.converged)
     throw std::runtime_error("FvTransientStepper::step: linear solver failed");
@@ -618,12 +599,12 @@ LinearSteadySystem FvModel::linearize_steady(const FvOptions& opts) const {
         "conditions (ConvectionRadiation / NaturalConvection); only linear "
         "boundaries admit a single constant operator");
 
-  Workspace ws = make_workspace(build_assembly(opts, 0.0));
+  Workspace ws = make_workspace(build_assembly(opts));
   LinearSteadySystem sys;
   // All boundary conductances are temperature-independent here, so the
   // iterate passed to the boundary rewrite is arbitrary.
   const Vector temps(grid_.cell_count(), 0.0);
-  update_boundary_terms(ws, temps, nullptr, sys.rhs);
+  update_boundary_terms(ws, temps, sys.rhs);
   sys.matrix = std::move(ws.matrix);
   return sys;
 }
@@ -702,21 +683,20 @@ FvSolution FvModel::solve_steady_impl(const FvOptions& opts,
   // skips the structural pass entirely (cache-hit path) — the workspace
   // copies the static values so the shared artifact stays immutable.
   if (!assembly) {
-    assembly = build_assembly(opts, 0.0);
+    assembly = build_assembly(opts);
     sol.structure_assemblies = 1;
   } else {
-    if (assembly->inv_dt != 0.0 ||
-        assembly->structural_hash != structural_hash(opts, 0.0))
+    if (assembly->structural_hash != structural_hash(opts))
       throw std::invalid_argument(
           "FvModel::solve_steady: shared assembly does not match this model "
-          "(structural hash or inv_dt differs)");
+          "(structural hash differs)");
     sol.structure_assemblies = 0;
   }
   Workspace ws = make_workspace(std::move(assembly));
   Vector rhs(n);
   const std::size_t passes = nonlinear ? opts.max_picard_iterations : 1;
   for (std::size_t it = 0; it < passes; ++it) {
-    update_boundary_terms(ws, temps, nullptr, rhs);
+    update_boundary_terms(ws, temps, rhs);
     const auto lin = numeric::conjugate_gradient(ws.matrix, rhs, opts.linear, &temps);
     if (!lin.converged)
       throw std::runtime_error("FvModel::solve_steady: linear solver failed to converge");
@@ -763,63 +743,13 @@ FvSolution FvModel::solve_steady(const std::shared_ptr<const FvAssembly>& assemb
 
 FvTransientSolution FvModel::solve_transient(double t_end, double dt, double t_initial,
                                              const FvOptions& opts) const {
-  return solve_transient(t_end, dt, Vector(grid_.cell_count(), t_initial), opts);
+  return solve_transient(t_end, dt, Vector(grid_.cell_count(), t_initial), FvDrive{}, opts);
 }
 
 FvTransientSolution FvModel::solve_transient(double t_end, double dt,
                                              const Vector& initial_temperatures,
                                              const FvOptions& opts) const {
-  dt = core::check_march_window("FvModel::solve_transient", t_end, dt);
-  const std::size_t n = grid_.cell_count();
-  core::check_state_size("FvModel::solve_transient", initial_temperatures.size(), n);
-  Vector temps = initial_temperatures;
-  FvTransientSolution out;
-  out.times.push_back(0.0);
-  out.temperatures.push_back(temps);
-  // Structure + capacity assembled once for the whole march (the undriven
-  // fixed-dt march bakes capacity/dt into the assembly); each implicit
-  // Euler step rewrites boundary terms and warm-starts CG from the previous
-  // step's field instead of re-converging from scratch.
-  static thread_local obs::CounterHandle transient_steps{"fv.transient_steps"};
-  static thread_local obs::CounterHandle warmstart_hits{"fv.warmstart_hits"};
-  obs::ScopedTimer span("fv.solve_transient");
-  // Local stepper over the baked-capacity workspace: a member-function-local
-  // class shares the enclosing function's access to FvModel's private
-  // workspace machinery, so the undriven march rides the shared engine loop
-  // without widening the model's API.
-  struct BakedStepper {
-    const FvModel* model;
-    const FvOptions* opts;
-    Workspace ws;
-    Vector rhs;
-    obs::CounterHandle* steps;
-    obs::CounterHandle* warm;
-    std::size_t state_size() const { return rhs.size(); }
-    std::size_t step(Vector& temps, double /*t_next*/, double /*dt*/) {
-      model->update_boundary_terms(ws, temps, &temps, rhs);
-      const auto lin = numeric::conjugate_gradient(ws.matrix, rhs, opts->linear, &temps);
-      if (!lin.converged)
-        throw std::runtime_error("FvModel::solve_transient: linear solver failed");
-      steps->add();
-      if (lin.iterations == 0) warm->add();
-      temps = lin.x;
-      return lin.iterations;
-    }
-    double error_norm(const Vector& a, const Vector& b) const {
-      double err = 0.0;
-      for (std::size_t c = 0; c < a.size(); ++c) err = std::max(err, std::abs(a[c] - b[c]));
-      return err;
-    }
-  };
-  BakedStepper stepper{this,      &opts, make_workspace(build_assembly(opts, 1.0 / dt)),
-                       Vector(n), &transient_steps, &warmstart_hits};
-  out.structure_assemblies = 1;
-  out.linear_iterations =
-      core::march_fixed(stepper, temps, t_end, dt, [&](double t_next, const Vector& state) {
-        out.times.push_back(t_next);
-        out.temperatures.push_back(state);
-      });
-  return out;
+  return solve_transient(t_end, dt, initial_temperatures, FvDrive{}, opts);
 }
 
 FvTransientSolution FvModel::solve_transient(double t_end, double dt,
@@ -829,6 +759,7 @@ FvTransientSolution FvModel::solve_transient(double t_end, double dt,
   dt = core::check_march_window("FvModel::solve_transient", t_end, dt);
   core::check_state_size("FvModel::solve_transient", initial_temperatures.size(),
                          grid_.cell_count());
+  obs::ScopedTimer span("fv.solve_transient");
   FvTransientStepper stepper(*this, opts, std::move(assembly));
   stepper.set_drive(&drive);
   FvTransientSolution out;
@@ -836,7 +767,6 @@ FvTransientSolution FvModel::solve_transient(double t_end, double dt,
   Vector temps = initial_temperatures;
   out.times.push_back(0.0);
   out.temperatures.push_back(temps);
-  obs::ScopedTimer span("fv.solve_transient");
   out.linear_iterations =
       core::march_fixed(stepper, temps, t_end, dt, [&](double t_next, const Vector& state) {
         out.times.push_back(t_next);

@@ -9,7 +9,8 @@
 // Grid: tensor-product cells, per-cell anisotropic conductivity, volumetric
 // sources. Face conductances use the harmonic mean of cell conductivities
 // (option: arithmetic, kept for the ablation bench). Steady solves assemble
-// an SPD system solved by preconditioned CG; transient uses implicit Euler.
+// an SPD system solved by preconditioned CG; transient marches are implicit
+// Euler through FvTransientStepper (an undriven march is the null drive).
 //
 // All temperatures are absolute [K].
 #pragma once
@@ -128,15 +129,14 @@ struct FvTransientSolution {
   std::size_t structure_assemblies = 0;    ///< symbolic assemblies (1 with caching)
 };
 
-/// Time-varying environment driver for a transient march. The undriven
-/// solve_transient overloads resolve boundary conditions once, before the
-/// step loop — correct only for environments frozen at t = 0. A drive makes
-/// the environment a function of time: every step re-resolves each boundary
-/// condition through `boundary` and scales the volumetric sources by
-/// `power_scale`, both evaluated at the step's end time (implicit Euler),
-/// without touching the assembled structure. The mission layer
-/// (aeropack::mission) builds drives from mission::Profile; hand-written
-/// drives are equally valid.
+/// Time-varying environment driver for a transient march. The null drive
+/// (FvDrive{}, which the undriven solve_transient overloads pass) keeps the
+/// environment stored on the model. A drive makes the environment a
+/// function of time: every step re-resolves each boundary condition through
+/// `boundary` and scales the volumetric sources by `power_scale`, both
+/// evaluated at the step's end time (implicit Euler), without touching the
+/// assembled structure. The mission layer (aeropack::mission) builds drives
+/// from mission::Profile; hand-written drives are equally valid.
 struct FvDrive {
   /// Transform a model boundary condition for mission time `t`. Called for
   /// every boundary cell-face on every step; must be pure (same inputs,
@@ -160,11 +160,11 @@ struct LinearSteadySystem {
   numeric::Vector rhs;        ///< sources + flux terms + film * sink terms [W]
 };
 
-/// The immutable structural half of an FV solve: the 7-point CSR pattern,
+/// The immutable structural half of an FV solve: the 7-point CSR pattern and
 /// every temperature-independent internal coefficient (face conductances,
-/// contact interfaces, implicit-Euler capacity) — and nothing that depends
-/// on sources or boundary conditions, which stay on the model and are
-/// applied per solve into a private workspace. Two models that differ only
+/// contact interfaces) — and nothing that depends on sources, boundary
+/// conditions or a time step, which are applied per solve into a private
+/// workspace. Steady solves, marches at any step and models that differ only
 /// in loads/boundaries therefore share one FvAssembly, which is what the
 /// scenario-service ArtifactCache exploits across a qualification campaign.
 ///
@@ -177,8 +177,6 @@ struct FvAssembly {
   numeric::CsrMatrix matrix;            ///< pattern + boundary-free values
   std::vector<double> base_values;      ///< matrix values without boundary films
   std::vector<std::size_t> diag_index;  ///< per-row offset of the diagonal entry
-  numeric::Vector capacity;             ///< rho*cp*V/dt per cell (transient only)
-  double inv_dt = 0.0;                  ///< 0 for steady assemblies
   std::uint64_t structural_hash = 0;    ///< FvModel::structural_hash at build time
   /// Approximate resident size, for cost-aware cache eviction.
   std::size_t cost_bytes() const;
@@ -224,52 +222,48 @@ class FvModel {
 
   FvSolution solve_steady(const FvOptions& opts = {}) const;
 
-  /// Hash of everything a steady/transient assembly depends on: grid
-  /// geometry, per-cell conductivities and capacities, z-interfaces, the
-  /// face-conductance scheme and `inv_dt` — and deliberately NOT sources or
-  /// boundary conditions, which are per-solve inputs. Equal hashes guarantee
-  /// build_assembly would produce bitwise-identical artifacts, so this is
-  /// the ArtifactCache key for FV assemblies.
+  /// Hash of everything an assembly depends on: grid geometry, per-cell
+  /// conductivities and capacities, z-interfaces and the face-conductance
+  /// scheme — and deliberately NOT sources or boundary conditions, which are
+  /// per-solve inputs. Equal hashes guarantee build_assembly would produce
+  /// bitwise-identical artifacts, so this is the ArtifactCache key for FV
+  /// assemblies. Throws std::invalid_argument unless `inv_dt` is 0.
   std::uint64_t structural_hash(const FvOptions& opts = {}, double inv_dt = 0.0) const;
 
   /// Assemble the shareable structural artifact once (counts one
-  /// "fv.structure_assemblies"). `inv_dt > 0` bakes in the implicit-Euler
-  /// capacity terms for a transient march with that step.
+  /// "fv.structure_assemblies"). `inv_dt` must be 0, as for structural_hash.
   std::shared_ptr<const FvAssembly> build_assembly(const FvOptions& opts = {},
                                                    double inv_dt = 0.0) const;
 
-  /// Steady solve on a pre-built (possibly cache-shared) steady assembly:
-  /// skips symbolic assembly entirely (structure_assemblies == 0 in the
-  /// solution) and is bitwise identical to the assembling overload. Throws
+  /// Steady solve on a pre-built (possibly cache-shared) assembly: skips
+  /// symbolic assembly entirely (structure_assemblies == 0 in the solution)
+  /// and is bitwise identical to the assembling overload. Throws
   /// std::invalid_argument when the assembly's structural hash does not
-  /// match this model at `opts` (it was built for different structure) or
-  /// when it is a transient assembly.
+  /// match this model at `opts` (it was built for different structure).
   FvSolution solve_steady(const std::shared_ptr<const FvAssembly>& assembly,
                           const FvOptions& opts = {}) const;
 
-  /// Implicit Euler transient from a uniform initial temperature. `dt` is
-  /// clamped to `t_end` (a march shorter than one step degenerates to a
-  /// single implicit step of size `t_end`); throws on non-positive `dt` or
-  /// `t_end`.
+  /// Implicit Euler transient from a uniform initial temperature under the
+  /// model's stored environment: the null-drive march below.
   FvTransientSolution solve_transient(double t_end, double dt, double t_initial,
                                       const FvOptions& opts = {}) const;
 
-  /// Implicit Euler transient from a full per-cell initial field (needed by
-  /// the manufactured-solutions transient ladder, whose exact initial state
-  /// is spatially varying). Same time-step semantics as above.
+  /// Same, from a full per-cell initial field (needed by the
+  /// manufactured-solutions transient ladder, whose exact initial state is
+  /// spatially varying).
   FvTransientSolution solve_transient(double t_end, double dt,
                                       const numeric::Vector& initial_temperatures,
                                       const FvOptions& opts = {}) const;
 
   /// Driver-aware implicit Euler: boundary conditions and source scaling
-  /// are re-resolved through `drive` at every step's end time, fixing the
-  /// frozen-at-t=0 capture of the undriven overloads. Marches on a *steady*
-  /// assembly (inv_dt == 0) — the capacity/dt term joins the diagonal
-  /// during the per-step boundary rewrite — so one cache-shared artifact
-  /// serves every step size and is the same artifact steady solves use. A
-  /// caller-supplied `assembly` must be steady and match
-  /// structural_hash(opts, 0.0) (std::invalid_argument otherwise); null
-  /// assembles internally. Same step semantics as the undriven overloads.
+  /// are re-resolved through `drive` at every step's end time. `dt` is
+  /// clamped to `t_end` (a march shorter than one step degenerates to a
+  /// single implicit step of size `t_end`); throws on non-positive `dt` or
+  /// `t_end`. The capacity/dt term joins the diagonal during the per-step
+  /// rewrite, so one cache-shared assembly serves every step size and is the
+  /// same artifact steady solves use. A caller-supplied `assembly` must
+  /// match structural_hash(opts) (std::invalid_argument otherwise); null
+  /// assembles internally.
   FvTransientSolution solve_transient(double t_end, double dt,
                                       const numeric::Vector& initial_temperatures,
                                       const FvDrive& drive, const FvOptions& opts = {},
@@ -307,33 +301,24 @@ class FvModel {
   const BoundaryCondition& boundary_for(Face f, std::size_t a, std::size_t b) const;
 
   /// Per-solve mutable state layered over an immutable (possibly shared)
-  /// FvAssembly: a working copy of the matrix for the boundary-film rewrite
-  /// and this model's static right-hand side (sources + prescribed fluxes).
-  /// Picard passes and time steps only rewrite the temperature-dependent
-  /// boundary terms in place; the shared assembly is never touched.
+  /// FvAssembly: a working copy of the matrix that every Picard pass and
+  /// time step rewrites in place; the shared assembly is never touched.
   struct Workspace {
     std::shared_ptr<const FvAssembly> assembly;
-    numeric::CsrMatrix matrix;   ///< working copy: base values + boundary films
-    numeric::Vector base_rhs;    ///< sources + prescribed-flux terms [W]
+    numeric::CsrMatrix matrix;  ///< working copy: base values + capacity + boundary films
   };
 
   Workspace make_workspace(std::shared_ptr<const FvAssembly> assembly) const;
-  /// Volumetric sources + prescribed boundary fluxes of this model [W].
-  numeric::Vector build_base_rhs() const;
-  /// Rewrite boundary film conductances (linearized at `temps`) into the
-  /// workspace matrix and produce the full right-hand side. `prev` supplies
-  /// the previous time-step field for the transient capacity source term.
-  void update_boundary_terms(Workspace& ws, const numeric::Vector& temps,
-                             const numeric::Vector* prev, numeric::Vector& rhs) const;
-  /// Driven counterpart over a *steady* workspace: copies the base values,
-  /// adds `capacity[c] * inv_dt` to every diagonal, rebuilds the right-hand
-  /// side from power-scaled sources + the capacity source term, and applies
-  /// boundary films after passing each condition through `drive` at time
-  /// `t` (null drive = stored conditions, scale 1).
-  void update_driven_terms(Workspace& ws, const numeric::Vector& temps,
-                           const numeric::Vector& prev, const numeric::Vector& capacity,
-                           double inv_dt, double t, const FvDrive* drive,
-                           numeric::Vector& rhs) const;
+  /// The one rewrite of every per-solve term: resets the workspace matrix to
+  /// the base values and `rhs` to the power-scaled sources, then adds each
+  /// boundary face's flux or film (linearized at `temps`), with conditions
+  /// resolved through `drive` at time `t` (null = stored, scale 1). A
+  /// non-null `capacity` (rho*cp*V per cell) adds the implicit-Euler terms of
+  /// a step of 1/`inv_dt` from `temps`.
+  void update_boundary_terms(Workspace& ws, const numeric::Vector& temps, numeric::Vector& rhs,
+                             const FvDrive* drive = nullptr, double t = 0.0,
+                             const numeric::Vector* capacity = nullptr,
+                             double inv_dt = 0.0) const;
   FvSolution solve_steady_impl(const FvOptions& opts,
                                std::shared_ptr<const FvAssembly> assembly) const;
   double face_conductance_x(std::size_t i0, std::size_t i1, std::size_t j, std::size_t k,
@@ -358,8 +343,9 @@ class FvModel {
   std::array<std::vector<std::optional<BoundaryCondition>>, 6> patch_bc_{};
 };
 
-/// Reusable driven implicit-Euler stepper over a steady (inv_dt == 0,
-/// possibly cache-shared) FvAssembly. This is the FV implementation of the
+/// Reusable driven implicit-Euler stepper over a (possibly cache-shared)
+/// FvAssembly — the only FV transient path: every solve_transient overload
+/// and every mission march runs it. This is the FV implementation of the
 /// core::TransientSystem concept the unified transient engine
 /// (core/transient_engine.hpp) marches: step() advances an arbitrary field
 /// by an arbitrary dt — the capacity/dt term is applied per call, so the
@@ -371,14 +357,13 @@ class FvModel {
 /// ExecutionContexts.
 ///
 /// The referenced model must outlive the stepper and stay unmodified while
-/// it is in use (the workspace caches the model's source terms).
+/// it is in use (every step reads its sources and boundary conditions).
 class FvTransientStepper {
  public:
-  /// Build over `model`. A null `assembly` assembles the steady structure
-  /// internally (structure_assemblies() == 1); a supplied one must be
-  /// steady and match model.structural_hash(opts, 0.0), else
-  /// std::invalid_argument — the same validation as the cached steady
-  /// solve.
+  /// Build over `model`. A null `assembly` assembles the structure
+  /// internally (structure_assemblies() == 1); a supplied one must match
+  /// model.structural_hash(opts), else std::invalid_argument — the same
+  /// validation as the cached steady solve.
   explicit FvTransientStepper(const FvModel& model, const FvOptions& opts = {},
                               std::shared_ptr<const FvAssembly> assembly = nullptr);
 

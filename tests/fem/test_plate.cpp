@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "fem/plate.hpp"
 #include "materials/solid.hpp"
@@ -146,12 +148,35 @@ TEST(PlateModel, TotalMassAccounting) {
 }
 
 TEST(PlateModel, InvalidInputsThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   const auto fr4 = am::fr4();
   EXPECT_THROW(af::PlateModel(0.0, 0.1, 1e-3, fr4, 4, 4), std::invalid_argument);
   af::PlateModel p(0.2, 0.1, 1.6e-3, fr4, 4, 4);
   EXPECT_THROW(p.add_point_mass(0.1, 0.05, 0.0), std::invalid_argument);
   EXPECT_THROW(p.add_doubler(0.0, 0.1, 0.0, 0.1, 0.5), std::invalid_argument);
   EXPECT_THROW(af::ss_plate_frequency(0.2, 0.1, 1e-3, fr4, 0, 1), std::invalid_argument);
+
+  // nearest_node clamps onto the plate, so without the refusal an off-plate
+  // or NaN point would snap to an edge node (mass_x = 5 m on the 0.16 m
+  // Fig. 2 board would report f1 ~ 530 Hz).
+  try {
+    p.add_point_mass(5.0, 0.05, 0.18);
+    ADD_FAILURE() << "off-plate mass accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("add_point_mass: x"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(p.add_point_mass(0.1, -0.01, 0.18), std::invalid_argument);
+  EXPECT_THROW(p.add_point_mass(nan, 0.05, 0.18), std::invalid_argument);
+  EXPECT_THROW(p.add_point_mass(0.1, 0.05, nan), std::invalid_argument);
+  EXPECT_THROW(p.add_point_mass(0.1, 0.05, inf), std::invalid_argument);
+  EXPECT_THROW(p.add_point_support(0.21, 0.05), std::invalid_argument);
+  EXPECT_THROW(p.add_point_support(0.1, inf), std::invalid_argument);
+  EXPECT_THROW(p.add_point_support(nan, 0.05), std::invalid_argument);
+  // Edges and corners are on the plate, and nothing refused was recorded.
+  p.add_point_support(0.2, 0.1);
+  p.add_point_mass(0.0, 0.0, 0.25);
+  EXPECT_NEAR(p.total_mass(), fr4.density * 1.6e-3 * 0.02 + 0.25, 1e-12);
 }
 
 // Property: SS plate FEM frequency converges to analytic with refinement.

@@ -68,11 +68,14 @@ TEST(MissionDriverFv, NullDriveMatchesUndrivenMarch) {
   const aeropack::numeric::Vector initial(m.grid().cell_count(), 310.0);
   const at::FvTransientSolution undriven = m.solve_transient(40.0, 4.0, initial);
   const at::FvTransientSolution driven = m.solve_transient(40.0, 4.0, initial, at::FvDrive{});
-  // The driven march folds capacity/dt into a steady assembly instead of
-  // baking it in, so the diagonal sums in a different order: near round-off
-  // agreement, not bitwise.
-  ASSERT_EQ(undriven.temperatures.size(), driven.temperatures.size());
-  EXPECT_LT(max_abs_diff(undriven.temperatures.back(), driven.temperatures.back()), 1e-6);
+  // The undriven overloads are the null-drive march: bitwise, every step.
+  ASSERT_EQ(undriven.times.size(), driven.times.size());
+  EXPECT_EQ(undriven.linear_iterations, driven.linear_iterations);
+  for (std::size_t s = 0; s < undriven.times.size(); ++s) {
+    EXPECT_EQ(undriven.times[s], driven.times[s]) << s;
+    for (std::size_t i = 0; i < undriven.temperatures[s].size(); ++i)
+      EXPECT_EQ(undriven.temperatures[s][i], driven.temperatures[s][i]) << s << "/" << i;
+  }
 }
 
 TEST(MissionDriverFv, PowerScaleScalesVolumetricSourcesOnly) {
@@ -126,10 +129,6 @@ TEST(MissionDriverFv, SharedSteadyAssemblyIsValidatedAndBitwiseEqual) {
   at::FvDrive drive;
   drive.power_scale = [](double t) { return t < 10.0 ? 1.2 : 0.8; };
 
-  // A transient assembly (inv_dt baked in) is the wrong artifact class.
-  EXPECT_THROW(
-      m.solve_transient(20.0, 2.0, initial, drive, {}, m.build_assembly({}, 1.0 / 2.0)),
-      std::invalid_argument);
   // An assembly of a different structure is rejected by hash.
   at::FvModel other(at::FvGrid::uniform(0.06, 0.02, 0.01, 5, 4, 3));
   other.set_material(aeropack::materials::aluminum_6061());

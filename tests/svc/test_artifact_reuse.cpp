@@ -8,6 +8,7 @@
 // double as race detectors for concurrent artifact sharing.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -80,8 +81,27 @@ TEST(ArtifactReuse, FvStructuralHashIgnoresLoadsAndBoundaries) {
   at::FvModel c(at::FvGrid::uniform(0.1, 0.02, 0.01, 16, 4, 5));  // grid: structural
   c.set_material(am::aluminum_6061());
   EXPECT_NE(a.structural_hash(), c.structural_hash());
-  EXPECT_NE(a.structural_hash(at::FvOptions{}, 1.0),
-            a.structural_hash());  // inv_dt: structural
+}
+
+TEST(ArtifactReuse, FvAssemblyRefusesATimeStep) {
+  // One artifact class: marches apply capacity/dt per step on the assembly
+  // steady solves use, so a non-zero inv_dt is refused, by name.
+  const at::FvModel slab = make_slab();
+  const auto error_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const double inv_dt : {0.5, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_NE(error_of([&] { slab.build_assembly({}, inv_dt); }).find("inv_dt"),
+              std::string::npos);
+    EXPECT_NE(error_of([&] { slab.structural_hash({}, inv_dt); }).find("inv_dt"),
+              std::string::npos);
+  }
+  EXPECT_EQ(slab.build_assembly({}, 0.0)->structural_hash, slab.structural_hash());
 }
 
 TEST(ArtifactReuse, ModalCachedFactorizationSolvesBitIdenticalToCold) {

@@ -332,4 +332,21 @@ TEST(ScenarioService, CountParamsWithUndefinedConversionsAreRefused) {
   }
 }
 
+TEST(ScenarioService, NonFinitePowerAndOffBoardMassAreRefusedByName) {
+  // Refused at the model layer: a NaN power would otherwise run CG to its
+  // iteration cap and surface as a convergence failure, and an off-board
+  // mass would snap to the board edge.
+  ac::ScenarioSpec off_board;
+  off_board.name = "off_board";
+  off_board.graph = "modal_plate";
+  off_board.params = {{"mass_x", 5.0}};  // the board is 0.16 m long
+  ac::ScenarioService service;
+  const auto results =
+      service.run({slab_spec("nan_power", std::numeric_limits<double>::quiet_NaN()), off_board});
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_NE(results[0].error.find("add_power: watts"), std::string::npos) << results[0].error;
+  EXPECT_FALSE(results[1].ok);
+  EXPECT_NE(results[1].error.find("add_point_mass: x"), std::string::npos) << results[1].error;
+}
+
 }  // namespace

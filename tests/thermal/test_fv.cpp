@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "materials/solid.hpp"
 #include "thermal/fv.hpp"
@@ -225,4 +227,39 @@ TEST(FvModel, ArithmeticSchemeDiffersOnContrast) {
   const double t_h = harm.temperatures[10];
   const double t_a = arith.temperatures[10];
   EXPECT_GT(std::fabs(t_h - t_a), 0.5);
+}
+
+TEST(FvModel, NonFiniteSourcesAndBoundaryFieldsAreRefused) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  at::FvModel m(at::FvGrid::uniform(0.1, 0.02, 0.01, 4, 2, 2));
+  EXPECT_THROW(m.add_power(m.all_cells(), nan), std::invalid_argument);
+  EXPECT_THROW(m.add_power(m.all_cells(), -inf), std::invalid_argument);
+
+  const auto error_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  at::BoundaryCondition film = at::BoundaryCondition::convection(10.0, 300.0);
+  film.h = inf;
+  EXPECT_NE(error_of([&] { m.set_boundary(at::Face::XMin, film); }).find("boundary h"),
+            std::string::npos);
+  at::BoundaryCondition sink = at::BoundaryCondition::fixed(nan);
+  EXPECT_NE(error_of([&] { m.set_boundary_patch(at::Face::ZMax, {0, 2, 0, 1, 0, 1}, sink); })
+                .find("boundary temperature"),
+            std::string::npos);
+  at::BoundaryCondition natural =
+      at::BoundaryCondition::natural(at::SurfaceOrientation::Vertical, 0.1, 300.0, nan);
+  EXPECT_NE(error_of([&] { m.set_boundary(at::Face::YMin, natural); }).find("boundary pressure"),
+            std::string::npos);
+
+  // Nothing refused was stored, and 0 K stays legal at this layer: the
+  // compact-model builder applies 0 K superposition sinks.
+  m.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(0.0));
+  m.add_power(m.all_cells(), 1.0);
+  EXPECT_NO_THROW(m.solve_steady());
 }
