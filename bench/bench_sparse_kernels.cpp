@@ -1,28 +1,42 @@
-// BENCH-SPARSE — multithreaded sparse kernels + FV assembly caching.
+// BENCH-SPARSE — multithreaded sparse kernels, FV assembly caching and the
+// multigrid preconditioner.
 //
 // Sweeps FV grid sizes (8^3 -> 64^3) and thread counts, timing the hot
 // kernels the Picard/transient loops sit on: SpMV, preconditioned CG, the
-// one-time structure assembly vs the per-pass boundary rewrite, and the full
-// steady FV solve. Emits BENCH_sparse_kernels.json (machine-readable) so
-// later PRs can track the perf trajectory, plus the usual table on stdout.
+// one-time structure assembly vs the per-pass boundary rewrite (both read
+// from their obs spans), and the full steady FV solve. On every grid it
+// also solves the model's linearize_steady() system with Jacobi-CG and with
+// AMG-preconditioned CG (numeric/amg.hpp) through the numeric API, and
+// prints the measured Jacobi/AMG crossover; the full sweep adds the four
+// solver stress cases (verify/solver_cases.hpp), the slab and graded cubes
+// from 16^3 to 64^3 and the graded-k MMS rungs. Emits
+// BENCH_sparse_kernels.json (machine-readable) so later PRs can track the
+// perf trajectory, plus the usual table on stdout.
 //
 // Headline numbers: steady-solve speedup at 4 threads vs 1 thread on the
-// largest grid measured, and the assembly time removed per Picard pass by
-// structure caching on that grid.
+// largest grid measured, the assembly time removed per Picard pass by
+// structure caching on that grid, and the AMG crossover.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "materials/solid.hpp"
+#include "numeric/amg.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/sparse.hpp"
+#include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "thermal/fv.hpp"
+#include "verify/mms.hpp"
+#include "verify/solver_cases.hpp"
 
 namespace an = aeropack::numeric;
 namespace at = aeropack::thermal;
@@ -84,6 +98,82 @@ at::FvModel make_model(std::size_t n) {
   return m;
 }
 
+/// Jacobi-CG vs AMG-PCG on one FV linear system at one thread count.
+struct SolverTiming {
+  std::size_t threads = 1;
+  double jacobi_ms = 0.0;
+  std::size_t jacobi_iterations = 0;
+  double amg_ms = 0.0;  ///< workspace + refresh + solve: the per-solve cost
+  std::size_t amg_iterations = 0;
+};
+
+struct SolverComparison {
+  std::string name;
+  std::size_t cells = 0;
+  double amg_setup_ms = 0.0;  ///< hierarchy build (serial, once per assembly)
+  std::vector<SolverTiming> timings;
+
+  /// AMG faster than Jacobi at every measured thread count.
+  bool amg_wins() const {
+    for (const SolverTiming& t : timings)
+      if (!(t.amg_ms < t.jacobi_ms)) return false;
+    return true;
+  }
+};
+
+/// Solve `model`'s linearize_steady() system with both preconditioners at
+/// each thread count (median of `reps`).
+SolverComparison compare_solvers(const std::string& name, const at::FvModel& model,
+                                 const std::vector<std::size_t>& thread_counts, int reps) {
+  SolverComparison out;
+  out.name = name;
+  const at::LinearSteadySystem sys = model.linearize_steady();
+  out.cells = sys.rhs.size();
+  an::set_thread_count(1);
+  out.amg_setup_ms = time_ms(reps, [&] { const an::AmgHierarchy h(sys.matrix); });
+  const an::AmgHierarchy hierarchy(sys.matrix);
+  for (const std::size_t t : thread_counts) {
+    an::set_thread_count(t);
+    SolverTiming st;
+    st.threads = t;
+    an::IterativeResult jacobi, amg;
+    st.jacobi_ms = time_ms(reps, [&] { jacobi = an::conjugate_gradient(sys.matrix, sys.rhs); });
+    st.amg_ms = time_ms(reps, [&] {
+      an::AmgWorkspace ws(hierarchy);
+      amg = an::conjugate_gradient(sys.matrix, sys.rhs, {}, nullptr, &ws);
+    });
+    if (!jacobi.converged || !amg.converged)
+      throw std::runtime_error("compare_solvers: " + name + " did not converge");
+    st.jacobi_iterations = jacobi.iterations;
+    st.amg_iterations = amg.iterations;
+    out.timings.push_back(st);
+  }
+  return out;
+}
+
+/// Milliseconds per call of the span `name` (at any depth) recorded between
+/// two snapshots of the timer tree.
+double span_ms_per_call(const std::vector<obs::TimerEntry>& before,
+                        const std::vector<obs::TimerEntry>& after, const std::string& name) {
+  const auto totals = [&](const std::vector<obs::TimerEntry>& entries) {
+    std::pair<double, std::uint64_t> sum{0.0, 0};
+    for (const obs::TimerEntry& e : entries) {
+      const bool match = e.path == name ||
+                         (e.path.size() > name.size() &&
+                          e.path.compare(e.path.size() - name.size() - 1, std::string::npos,
+                                         "/" + name) == 0);
+      if (match) {
+        sum.first += e.seconds;
+        sum.second += e.calls;
+      }
+    }
+    return sum;
+  };
+  const auto [s0, c0] = totals(before);
+  const auto [s1, c1] = totals(after);
+  return c1 > c0 ? (s1 - s0) * 1e3 / static_cast<double>(c1 - c0) : 0.0;
+}
+
 struct ThreadTiming {
   std::size_t threads = 1;
   double spmv_ms = 0.0;
@@ -97,10 +187,45 @@ struct GridResult {
   std::size_t cells = 0;
   std::size_t nonzeros = 0;
   double triplet_assembly_ms = 0.0;  ///< legacy path: builder + sort per pass
-  double structure_build_ms = 0.0;   ///< cached path: one-time symbolic build
-  double boundary_update_ms = 0.0;   ///< cached path: per-pass rewrite
+  double structure_build_ms = 0.0;   ///< fv.assemble_structure span, per call
+  double boundary_update_ms = 0.0;   ///< fv.update_boundary span, per call
   std::vector<ThreadTiming> timings;
+  SolverComparison fv;  ///< the model's steady system, Jacobi vs AMG
 };
+
+/// Smallest measured cell count from which AMG wins at every measured
+/// thread count on every measured system of that size or larger — the
+/// sweep's grids and the stress cases alike (0 when none qualifies).
+std::size_t amg_crossover_cells(const std::vector<GridResult>& grids,
+                                const std::vector<SolverComparison>& cases) {
+  std::vector<const SolverComparison*> systems;
+  for (const GridResult& g : grids)
+    if (!g.fv.timings.empty()) systems.push_back(&g.fv);
+  for (const SolverComparison& c : cases) systems.push_back(&c);
+  std::vector<std::size_t> sizes;
+  for (const SolverComparison* s : systems) sizes.push_back(s->cells);
+  std::sort(sizes.rbegin(), sizes.rend());
+  std::size_t crossover = 0;
+  for (const std::size_t size : sizes) {
+    for (const SolverComparison* s : systems)
+      if (s->cells >= size && !s->amg_wins()) return crossover;
+    crossover = size;
+  }
+  return crossover;
+}
+
+void write_comparison(std::ofstream& out, const SolverComparison& c, const char* indent) {
+  out << indent << "\"amg_setup_ms\": " << c.amg_setup_ms << ",\n";
+  out << indent << "\"solvers\": [\n";
+  for (std::size_t t = 0; t < c.timings.size(); ++t) {
+    const SolverTiming& st = c.timings[t];
+    out << indent << "  {\"threads\": " << st.threads << ", \"jacobi_ms\": " << st.jacobi_ms
+        << ", \"jacobi_iterations\": " << st.jacobi_iterations
+        << ", \"amg_ms\": " << st.amg_ms << ", \"amg_iterations\": " << st.amg_iterations
+        << "}" << (t + 1 < c.timings.size() ? ",\n" : "\n");
+  }
+  out << indent << "]";
+}
 
 /// Rebuild-from-triplets cost the old Picard loop paid on every pass.
 double legacy_assembly_ms(const an::CsrMatrix& pattern, int reps) {
@@ -117,7 +242,8 @@ double legacy_assembly_ms(const an::CsrMatrix& pattern, int reps) {
 void write_json(const std::string& path, std::size_t hardware,
                 const std::vector<std::size_t>& thread_counts,
                 const std::vector<double>& dispatch_ns,
-                const std::vector<GridResult>& grids) {
+                const std::vector<GridResult>& grids,
+                const std::vector<SolverComparison>& cases) {
   std::ofstream out(path);
   if (!out) {
     std::printf("  (could not write %s)\n", path.c_str());
@@ -125,6 +251,7 @@ void write_json(const std::string& path, std::size_t hardware,
   }
   out << "{\n  \"bench\": \"sparse_kernels\",\n";
   out << "  \"hardware_threads\": " << hardware << ",\n";
+  out << "  \"amg_crossover_cells\": " << amg_crossover_cells(grids, cases) << ",\n";
   out << "  \"thread_counts\": [";
   for (std::size_t i = 0; i < thread_counts.size(); ++i)
     out << thread_counts[i] << (i + 1 < thread_counts.size() ? ", " : "");
@@ -150,7 +277,19 @@ void write_json(const std::string& path, std::size_t hardware,
           << (tt.steady_ms > 0.0 ? r.timings.front().steady_ms / tt.steady_ms : 0.0) << "}"
           << (t + 1 < r.timings.size() ? ",\n" : "\n");
     }
-    out << "      ]\n    }" << (g + 1 < grids.size() ? ",\n" : "\n");
+    out << "      ]";
+    if (!r.fv.timings.empty()) {
+      out << ",\n";
+      write_comparison(out, r.fv, "      ");
+    }
+    out << "\n    }" << (g + 1 < grids.size() ? ",\n" : "\n");
+  }
+  out << "  ],\n  \"cases\": [\n";
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    out << "    {\n      \"name\": \"" << cases[c].name << "\", \"cells\": " << cases[c].cells
+        << ",\n";
+    write_comparison(out, cases[c], "      ");
+    out << "\n    }" << (c + 1 < cases.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
   std::printf("  series written to %s\n", path.c_str());
@@ -163,7 +302,9 @@ int main(int argc, char** argv) try {
   // CI bench-smoke job freezes counter expectations for (bench/expected/).
   // --scaling: 32^3 only, threads {1, 2} — the cheap configuration the CI
   // speedup-floor gate (tools/check_report.py --speedups) runs against;
-  // writes BENCH_sparse_scaling.json.
+  // writes BENCH_sparse_scaling.json. Its 32^3 grid is above the AMG
+  // crossover, so its counters (bench/expected/bench_sparse_scaling.*) also
+  // gate the multigrid path.
   // --report <out.json>: enable telemetry and write the obs run report.
   bool smoke = false;
   bool scaling = false;
@@ -195,7 +336,9 @@ int main(int argc, char** argv) try {
   const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
   std::vector<std::size_t> thread_counts{1, 2, 4};
   if (hardware > 4) thread_counts.push_back(hardware);
-  std::vector<std::size_t> sizes{8, 16, 32, 64};
+  // 12^3..24^3 measure the approach to the AMG crossover
+  // (thermal::kAmgMinCells).
+  std::vector<std::size_t> sizes{8, 12, 16, 20, 24, 32, 48, 64};
   if (smoke) {
     sizes = {8};
     thread_counts = {1, 2};
@@ -278,29 +421,59 @@ int main(int argc, char** argv) try {
       }
     }
 
-    // Cached-assembly costs, measured through a transient micro-march: the
-    // first step pays the structure build, subsequent steps only the
-    // boundary rewrite. Separate them by comparing 2-step and 12-step runs.
+    // Cached-assembly costs, read off the fv.assemble_structure and
+    // fv.update_boundary spans of transient micro-marches: each march builds
+    // the structure once and rewrites the boundary terms every step.
     an::set_thread_count(1);
     {
-      const double t2 = time_ms(reps, [&] {
-        const auto tr = model.solve_transient(2.0, 1.0, 300.0, opts);
-        (void)tr;
-      });
-      const double t12 = time_ms(reps, [&] {
-        const auto tr = model.solve_transient(12.0, 1.0, 300.0, opts);
-        (void)tr;
-      });
-      // 10 extra steps of (boundary rewrite + warm CG); the per-step cost
-      // bounds the boundary update from above.
-      res.boundary_update_ms = std::max(0.0, (t12 - t2) / 10.0);
-      res.structure_build_ms = std::max(0.0, t2 - 2.0 * res.boundary_update_ms);
+      const bool telemetry = obs::enabled();
+      obs::enable();
+      const std::vector<obs::TimerEntry> before = obs::current().timers();
+      for (int r = 0; r < reps; ++r) {
+        for (const double t_end : {2.0, 12.0}) {
+          const auto tr = model.solve_transient(t_end, 1.0, 300.0, opts);
+          (void)tr;
+        }
+      }
+      const std::vector<obs::TimerEntry> after = obs::current().timers();
+      if (!telemetry) obs::disable();
+      res.structure_build_ms = span_ms_per_call(before, after, "fv.assemble_structure");
+      res.boundary_update_ms = span_ms_per_call(before, after, "fv.update_boundary");
     }
+
+    // Jacobi vs AMG on the model's steady system. Skipped by --smoke, whose
+    // 8^3 grid sits below the crossover and whose counters are frozen.
+    if (!smoke) res.fv = compare_solvers("grid", model, thread_counts, reps);
 
     results.push_back(res);
     std::printf("  n=%2zu^3 (%7zu cells, %8zu nnz): triplet rebuild %8.3f ms/pass, "
-                "cached boundary rewrite+step %8.3f ms\n",
-                n, res.cells, res.nonzeros, res.triplet_assembly_ms, res.boundary_update_ms);
+                "structure build %8.3f ms, boundary rewrite %8.3f ms\n",
+                n, res.cells, res.nonzeros, res.triplet_assembly_ms, res.structure_build_ms,
+                res.boundary_update_ms);
+  }
+
+  // The full sweep also judges AMG on the four stress cases, the slab and
+  // graded cubes from 16^3 to 64^3 and the graded-k MMS rungs; the
+  // crossover is taken over all of them.
+  std::vector<SolverComparison> cases;
+  if (!smoke && !scaling) {
+    const std::vector<std::size_t> case_threads{1, 4};
+    const int reps = 5;
+    for (const auto& c : aeropack::verify::amg_cases())
+      cases.push_back(compare_solvers(c.name, c.model, case_threads, reps));
+    for (const std::size_t n : {16, 20, 24, 32, 64})
+      cases.push_back(compare_solvers("slab_" + std::to_string(n),
+                                      aeropack::verify::amg_slab_case(n), case_threads, reps));
+    for (const std::size_t n : {16, 20, 24, 32, 48, 64})
+      cases.push_back(compare_solvers("graded_cube_" + std::to_string(n),
+                                      aeropack::verify::amg_graded_cube_case(n), case_threads,
+                                      reps));
+    // The graded-k case of the MMS convergence ladder (tests/verify).
+    const auto mms = aeropack::verify::mms_graded_k(0.1, 0.12, 0.08, 10.0, 1.5, 300.0, 40.0);
+    for (const std::size_t n : {16, 20, 24, 32, 48})
+      cases.push_back(compare_solvers("mms_graded_" + std::to_string(n),
+                                      aeropack::verify::mms_steady_model(mms, n), case_threads,
+                                      reps));
   }
   an::set_thread_count(0);
 
@@ -324,8 +497,27 @@ int main(int argc, char** argv) try {
               " Picard pass on %zu^3\n\n",
               big.triplet_assembly_ms, big.n);
 
+  if (!smoke) {
+    std::printf("  %-16s | %7s | %8s | %8s | %10s | %7s | %10s | %7s\n", "steady system",
+                "cells", "setup ms", "threads", "jacobi ms", "its", "amg ms", "its");
+    std::printf("  -----------------+---------+----------+----------+------------+---------+"
+                "------------+--------\n");
+    const auto print_rows = [](const SolverComparison& c, const std::string& label) {
+      for (const SolverTiming& t : c.timings)
+        std::printf("  %-16s | %7zu | %8.2f | %8zu | %10.2f | %7zu | %10.2f | %7zu\n",
+                    label.c_str(), c.cells, c.amg_setup_ms, t.threads, t.jacobi_ms,
+                    t.jacobi_iterations, t.amg_ms, t.amg_iterations);
+    };
+    for (const GridResult& r : results) print_rows(r.fv, "grid " + std::to_string(r.n) + "^3");
+    for (const SolverComparison& c : cases) print_rows(c, c.name);
+    std::printf("\n  measured AMG crossover: %zu cells (AMG-PCG beats Jacobi-CG at every "
+                "measured thread count on every system this size or larger; "
+                "thermal::kAmgMinCells = %zu)\n\n",
+                amg_crossover_cells(results, cases), at::kAmgMinCells);
+  }
+
   write_json(scaling ? "BENCH_sparse_scaling.json" : "BENCH_sparse_kernels.json", hardware,
-             thread_counts, dispatch_ns, results);
+             thread_counts, dispatch_ns, results, cases);
 
   if (!report_path.empty()) {
     obs::Report report = obs::Report::capture("bench_sparse_kernels", an::thread_count());

@@ -1,5 +1,6 @@
 #include "core/scenario_spec.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -157,7 +158,12 @@ ScenarioSpec ScenarioSpec::deserialize(const std::string& text) {
                (key[0] == 'p' || key[0] == 'l' || key[0] == 'b')) {
       auto& m = key[0] == 'p' ? spec.params : key[0] == 'l' ? spec.loads : spec.boundaries;
       const std::string mkey = unescape(key.substr(2));
-      if (!m.emplace(mkey, parse_double(unescape(raw))).second)
+      const double v = parse_double(unescape(raw));
+      // strtod also accepts "nan", "inf" and overflowing literals (1e400).
+      if (!std::isfinite(v))
+        throw std::invalid_argument("ScenarioSpec::deserialize: value of '" + mkey +
+                                    "' must be finite");
+      if (!m.emplace(mkey, v).second)
         throw std::invalid_argument("ScenarioSpec::deserialize: duplicate key '" + mkey + "'");
     } else {
       throw std::invalid_argument("ScenarioSpec::deserialize: unknown field tag");

@@ -54,7 +54,9 @@ struct ScenarioSpec {
   /// Doubles are %a hexfloats; '%', '|' and '=' in strings are %XX-escaped.
   std::string serialize() const;
   /// Inverse of serialize(). Throws std::invalid_argument on malformed
-  /// input (wrong magic, bad escape, unparsable hexfloat, duplicate key).
+  /// input (wrong magic, bad escape, unparsable hexfloat, duplicate key) and
+  /// on a non-finite value (nan, inf, or a literal such as 1e400 that
+  /// overflows to inf), naming its key.
   static ScenarioSpec deserialize(const std::string& text);
 
   friend bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) = default;

@@ -21,13 +21,17 @@ StructuralHasher& StructuralHasher::add(std::string_view s) {
 
 StructuralHasher& StructuralHasher::add(const std::vector<double>& v) {
   add(static_cast<std::uint64_t>(v.size()));
-  for (const double d : v) add(d);
+  for (const double d : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    word(bits);
+  }
   return *this;
 }
 
 StructuralHasher& StructuralHasher::add(const std::vector<std::size_t>& v) {
   add(static_cast<std::uint64_t>(v.size()));
-  for (const std::size_t s : v) add(static_cast<std::uint64_t>(s));
+  for (const std::size_t s : v) word(static_cast<std::uint64_t>(s));
   return *this;
 }
 

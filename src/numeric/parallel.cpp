@@ -457,6 +457,15 @@ double parallel_norm2(ThreadPool& pool, const Vector& v) {
 
 double parallel_norm2(const Vector& v) { return parallel_norm2(current_pool(), v); }
 
+double parallel_sum(ThreadPool& pool, const Vector& v) {
+  return chunked_reduce(pool, v.size(), grain::Work::elements(v.size(), grain::Cost::kDot),
+                        [&](std::size_t lo, std::size_t hi) {
+                          double s = 0.0;
+                          for (std::size_t i = lo; i < hi; ++i) s += v[i];
+                          return s;
+                        });
+}
+
 void parallel_axpy(ThreadPool& pool, double alpha, const Vector& x, Vector& y) {
   if (x.size() != y.size()) throw std::invalid_argument("parallel_axpy: size mismatch");
   parallel_for(pool, 0, x.size(),

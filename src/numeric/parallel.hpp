@@ -142,6 +142,8 @@ double parallel_dot(ThreadPool& pool, const Vector& a, const Vector& b);
 double parallel_dot(const Vector& a, const Vector& b);
 double parallel_norm2(ThreadPool& pool, const Vector& v);
 double parallel_norm2(const Vector& v);
+/// Sum of the elements (same fixed-chunk reduction).
+double parallel_sum(ThreadPool& pool, const Vector& v);
 
 /// y += alpha * x, partitioned across threads (elementwise, exact).
 void parallel_axpy(ThreadPool& pool, double alpha, const Vector& x, Vector& y);

@@ -5,12 +5,14 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "numeric/dense.hpp"
 
 namespace aeropack::numeric {
 
+class AmgWorkspace;
 class CsrMatrix;
 class ThreadPool;
 
@@ -43,6 +45,10 @@ class SparseBuilder {
 /// Invariant (checked at construction): column indices are strictly
 /// increasing within every row. SparseBuilder::build() guarantees this;
 /// at() exploits it with a binary search.
+///
+/// The structure never changes after construction, so copies share it and
+/// own only their values: a per-solve working copy of a cached FV assembly
+/// costs one values array, not a second pattern.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
@@ -69,8 +75,8 @@ class CsrMatrix {
   double asymmetry() const;
   Matrix to_dense() const;
 
-  const std::vector<std::size_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<std::size_t>& col_idx() const { return col_idx_; }
+  const std::vector<std::size_t>& row_ptr() const { return pattern_->row_ptr; }
+  const std::vector<std::size_t>& col_idx() const { return pattern_->col_idx; }
   const std::vector<double>& values() const { return values_; }
   std::vector<double>& values() { return values_; }
 
@@ -78,9 +84,12 @@ class CsrMatrix {
   double at(std::size_t i, std::size_t j) const;
 
  private:
+  struct Pattern {
+    std::vector<std::size_t> row_ptr;
+    std::vector<std::size_t> col_idx;
+  };
   std::size_t rows_ = 0, cols_ = 0;
-  std::vector<std::size_t> row_ptr_;
-  std::vector<std::size_t> col_idx_;
+  std::shared_ptr<const Pattern> pattern_ = std::make_shared<const Pattern>();
   std::vector<double> values_;
 };
 
@@ -101,7 +110,7 @@ struct IterativeOptions {
   double tolerance = 1e-10;  ///< relative residual target
 };
 
-/// Preconditioned (Jacobi) conjugate gradient for SPD systems.
+/// Preconditioned conjugate gradient for SPD systems.
 ///
 /// `x0` (optional) warm-starts the iteration; the Picard/transient loops of
 /// the FV thermal solver pass the previous pass/step solution, cutting the
@@ -109,11 +118,18 @@ struct IterativeOptions {
 /// parallel layer with deterministic chunked partial sums, so the returned
 /// solution is bit-identical across thread counts — and across pools. The
 /// pool-less overload runs on the calling thread's current pool.
+///
+/// With `amg` null this is the fused Jacobi-preconditioned loop. A non-null
+/// AMG workspace (numeric/amg.hpp) is first refreshed from `a`, whose
+/// off-diagonals must be those its hierarchy was built from, and then
+/// preconditions a flexible (Polak–Ribière) CG with one multigrid cycle per
+/// iteration; its inner K-cycle steps count as "numeric.amg.cycles", never
+/// as "numeric.cg.*".
 IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
-                                   const Vector* x0 = nullptr);
+                                   const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
 IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
-                                   const Vector* x0 = nullptr);
+                                   const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
 
 }  // namespace aeropack::numeric

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/transient_engine.hpp"
+#include "numeric/amg.hpp"
 #include "numeric/hashing.hpp"
 #include "numeric/parallel.hpp"
 #include "obs/registry.hpp"
@@ -367,8 +368,8 @@ static void for_each_boundary_face(const FvGrid& g, const Vector& kx, const Vect
 std::size_t FvAssembly::cost_bytes() const {
   return sizeof(FvAssembly) +
          matrix.values().size() * (sizeof(double) + sizeof(std::size_t)) +
-         matrix.row_ptr().size() * sizeof(std::size_t) +
-         base_values.size() * sizeof(double) + diag_index.size() * sizeof(std::size_t);
+         matrix.row_ptr().size() * sizeof(std::size_t) + diag_index.size() * sizeof(std::size_t) +
+         (amg ? amg->cost_bytes() : 0);
 }
 
 namespace {
@@ -454,7 +455,7 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
 
   const std::size_t nnz = row_ptr[n];
   std::vector<std::size_t> col_idx(nnz);
-  cache->base_values.assign(nnz, 0.0);
+  std::vector<double> values(nnz, 0.0);
   cache->diag_index.assign(n, 0);
   numeric::parallel_for(
       0, nz,
@@ -467,7 +468,7 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
           double diag = 0.0;
           const auto off_diag = [&](std::size_t col, double g) {
             col_idx[w] = col;
-            cache->base_values[w] = -g;
+            values[w] = -g;
             ++w;
             diag += g;
           };
@@ -480,14 +481,16 @@ std::shared_ptr<const FvAssembly> FvModel::build_assembly(const FvOptions& opts,
           if (i + 1 < nx) off_diag(c + 1, gx[i + (nx - 1) * (j + ny * k)]);
           if (j + 1 < ny) off_diag(c + nx, gy[i + nx * (j + (ny - 1) * k)]);
           if (k + 1 < nz) off_diag(c + sxy, gz[i + nx * (j + ny * k)]);
-          cache->base_values[dpos] = diag;
+          values[dpos] = diag;
           cache->diag_index[c] = dpos;
         }
       },
       numeric::grain::Work::elements(n, numeric::grain::Cost::kCell));
 
-  cache->matrix = numeric::CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                                     std::vector<double>(cache->base_values));
+  cache->matrix =
+      numeric::CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx), std::move(values));
+  if (n >= kAmgMinCells)
+    cache->amg = std::make_shared<const numeric::AmgHierarchy>(cache->matrix);
   return cache;
 }
 
@@ -505,10 +508,11 @@ void FvModel::update_boundary_terms(Workspace& ws, const Vector& temps, Vector& 
   updates.add();
   obs::ScopedTimer span("fv.update_boundary");
   const FvAssembly& a = *ws.assembly;
+  const std::vector<double>& base = a.matrix.values();
   std::vector<double>& values = ws.matrix.values();
   numeric::parallel_for(0, values.size(), [&](std::size_t lo, std::size_t hi) {
-    std::copy(a.base_values.begin() + static_cast<std::ptrdiff_t>(lo),
-              a.base_values.begin() + static_cast<std::ptrdiff_t>(hi),
+    std::copy(base.begin() + static_cast<std::ptrdiff_t>(lo),
+              base.begin() + static_cast<std::ptrdiff_t>(hi),
               values.begin() + static_cast<std::ptrdiff_t>(lo));
   });
   // The assembly carries no capacity: a transient step's implicit-Euler
@@ -693,11 +697,16 @@ FvSolution FvModel::solve_steady_impl(const FvOptions& opts,
     sol.structure_assemblies = 0;
   }
   Workspace ws = make_workspace(std::move(assembly));
+  // Large grids precondition with the assembly's multigrid hierarchy; each
+  // CG call refreshes the workspace from the pass's rewritten diagonal.
+  std::optional<numeric::AmgWorkspace> amg;
+  if (ws.assembly->amg) amg.emplace(*ws.assembly->amg);
   Vector rhs(n);
   const std::size_t passes = nonlinear ? opts.max_picard_iterations : 1;
   for (std::size_t it = 0; it < passes; ++it) {
     update_boundary_terms(ws, temps, rhs);
-    const auto lin = numeric::conjugate_gradient(ws.matrix, rhs, opts.linear, &temps);
+    const auto lin = numeric::conjugate_gradient(ws.matrix, rhs, opts.linear, &temps,
+                                                 amg ? &*amg : nullptr);
     if (!lin.converged)
       throw std::runtime_error("FvModel::solve_steady: linear solver failed to converge");
     picard_passes.add();

@@ -28,7 +28,21 @@
 #include "numeric/sparse.hpp"
 #include "thermal/convection.hpp"
 
+namespace aeropack::numeric {
+class AmgHierarchy;
+}  // namespace aeropack::numeric
+
 namespace aeropack::thermal {
+
+/// Cell count from which FvModel steady solves precondition CG with
+/// aggregation multigrid (numeric/amg.hpp) instead of Jacobi: the smallest
+/// measured size from which AMG-PCG beats Jacobi-CG at every measured
+/// thread count on every measured system of that size or larger
+/// (bench_sparse_kernels prints it; "amg_crossover_cells" in
+/// BENCH_sparse_kernels.json). The binding system is the all-Dirichlet
+/// graded-k MMS cube, which Jacobi-CG solves in about 100 iterations at
+/// 24^3 (13824 cells), where AMG does not win at 4 threads.
+inline constexpr std::size_t kAmgMinCells = 20480;
 
 /// Tensor-product grid: cell sizes along each axis.
 class FvGrid {
@@ -168,16 +182,21 @@ struct LinearSteadySystem {
 /// in loads/boundaries therefore share one FvAssembly, which is what the
 /// scenario-service ArtifactCache exploits across a qualification campaign.
 ///
-/// Shareability contract: all fields are written once by
-/// FvModel::build_assembly and never mutated afterwards; concurrent solves
-/// on distinct ExecutionContexts may read one assembly freely, and a solve
-/// on a cached assembly is bitwise identical to the cold-start solve that
-/// would have built it (gated by tests/svc/test_artifact_reuse.cpp).
+/// Grids of at least kAmgMinCells cells also carry the multigrid hierarchy
+/// of the boundary-free off-diagonals; boundary films move only the
+/// diagonal, which each steady solve folds into a private AmgWorkspace.
+///
+/// Shareability contract: all fields, the hierarchy included, are written
+/// once by FvModel::build_assembly and never mutated afterwards; concurrent
+/// solves on distinct ExecutionContexts may read one assembly freely, and a
+/// solve on a cached assembly is bitwise identical to the cold-start solve
+/// that would have built it (gated by tests/svc/test_artifact_reuse.cpp).
 struct FvAssembly {
   numeric::CsrMatrix matrix;            ///< pattern + boundary-free values
-  std::vector<double> base_values;      ///< matrix values without boundary films
   std::vector<std::size_t> diag_index;  ///< per-row offset of the diagonal entry
   std::uint64_t structural_hash = 0;    ///< FvModel::structural_hash at build time
+  /// Multigrid hierarchy of `matrix`; null below kAmgMinCells cells.
+  std::shared_ptr<const numeric::AmgHierarchy> amg;
   /// Approximate resident size, for cost-aware cache eviction.
   std::size_t cost_bytes() const;
 };
@@ -231,7 +250,8 @@ class FvModel {
   std::uint64_t structural_hash(const FvOptions& opts = {}, double inv_dt = 0.0) const;
 
   /// Assemble the shareable structural artifact once (counts one
-  /// "fv.structure_assemblies"). `inv_dt` must be 0, as for structural_hash.
+  /// "fv.structure_assemblies"), with the multigrid hierarchy from
+  /// kAmgMinCells cells. `inv_dt` must be 0, as for structural_hash.
   std::shared_ptr<const FvAssembly> build_assembly(const FvOptions& opts = {},
                                                    double inv_dt = 0.0) const;
 
@@ -301,8 +321,9 @@ class FvModel {
   const BoundaryCondition& boundary_for(Face f, std::size_t a, std::size_t b) const;
 
   /// Per-solve mutable state layered over an immutable (possibly shared)
-  /// FvAssembly: a working copy of the matrix that every Picard pass and
-  /// time step rewrites in place; the shared assembly is never touched.
+  /// FvAssembly: a working copy of the matrix (its values; the pattern is
+  /// shared) that every Picard pass and time step rewrites in place; the
+  /// shared assembly is never touched.
   struct Workspace {
     std::shared_ptr<const FvAssembly> assembly;
     numeric::CsrMatrix matrix;  ///< working copy: base values + capacity + boundary films

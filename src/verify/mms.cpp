@@ -105,6 +105,12 @@ MmsPoint measure(const thermal::FvModel& m, const numeric::Vector& numerical,
 
 }  // namespace
 
+thermal::FvModel mms_steady_model(const MmsCase& c, std::size_t n) {
+  thermal::FvModel m = build_model(c, n);
+  m.add_power_density(c.source);
+  return m;
+}
+
 double observed_order(const std::vector<MmsPoint>& ladder, double* r_squared) {
   if (ladder.size() < 2)
     throw std::invalid_argument("observed_order: need at least two ladder rungs");
@@ -127,8 +133,7 @@ MmsReport mms_steady_order(const MmsCase& c, const std::vector<std::size_t>& ns,
   report.case_name = c.name;
   report.scheme = scheme;
   for (std::size_t n : ns) {
-    thermal::FvModel m = build_model(c, n);
-    m.add_power_density(c.source);
+    const thermal::FvModel m = mms_steady_model(c, n);
     thermal::FvOptions opts;
     opts.scheme = scheme;
     opts.linear = linear;

@@ -60,6 +60,10 @@ struct MmsReport {
   double fit_r_squared = 0.0;
 };
 
+/// The manufactured steady problem on an n^3 uniform grid: conductivity
+/// and midpoint-rule sources from `c`, every face at its boundary value.
+thermal::FvModel mms_steady_model(const MmsCase& c, std::size_t n);
+
 /// Run the steady ladder: for each n in `ns`, solve the manufactured problem
 /// on an n^3 uniform grid and measure the error against the exact field at
 /// cell centers. `ns` must contain at least two rungs.

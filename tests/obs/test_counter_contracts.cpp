@@ -1,5 +1,6 @@
-// Deterministic-counter contracts: three canonical solves (linear slab FV,
-// nonlinear-box Picard, Fig. 2 board sparse modal) run with telemetry
+// Deterministic-counter contracts: the canonical solves (linear slab FV,
+// nonlinear-box Picard, Fig. 2 board sparse modal, and two multigrid FV
+// steady solves above the AMG crossover) run with telemetry
 // enabled, and their algorithmic counters — Picard passes, CG iterations,
 // SpMV calls, factorizations, subspace sweeps — are frozen as exact golden
 // baselines under tests/obs/golden/. The PR 1-3 determinism invariants make
@@ -17,6 +18,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fem/modal.hpp"
@@ -26,6 +28,7 @@
 #include "obs/registry.hpp"
 #include "verify/cross_check.hpp"
 #include "verify/golden.hpp"
+#include "verify/solver_cases.hpp"
 
 namespace af = aeropack::fem;
 namespace am = aeropack::materials;
@@ -70,10 +73,11 @@ std::map<std::string, std::uint64_t> counters_of(Fn&& solve) {
   return snap;
 }
 
-/// Assert the counters are exactly equal at every sweep thread count, then
-/// check the 1-thread snapshot against the golden baseline.
+/// Assert the counters are exactly equal at every sweep thread count and
+/// return the 1-thread snapshot.
 template <typename Fn>
-void expect_counter_contract(const std::string& golden_name, Fn&& solve) {
+std::map<std::string, std::uint64_t> thread_invariant_counters(const std::string& label,
+                                                               Fn&& solve) {
   TelemetryGuard telemetry;
   ThreadCountGuard threads;
   an::set_thread_count(kThreadSweep.front());
@@ -82,8 +86,15 @@ void expect_counter_contract(const std::string& golden_name, Fn&& solve) {
   for (const std::size_t t : kThreadSweep) {
     an::set_thread_count(t);
     const auto run = counters_of(solve);
-    EXPECT_EQ(run, reference) << golden_name << ": counters diverge at " << t << " threads";
+    EXPECT_EQ(run, reference) << label << ": counters diverge at " << t << " threads";
   }
+  return reference;
+}
+
+/// Check the thread-invariant counters against the golden baseline.
+template <typename Fn>
+void expect_counter_contract(const std::string& golden_name, Fn&& solve) {
+  const auto reference = thread_invariant_counters(golden_name, solve);
   av::GoldenRecorder rec(golden_name, AEROPACK_OBS_GOLDEN_DIR, "obs");
   for (const auto& [name, value] : reference)
     rec.record(name, static_cast<double>(value));
@@ -143,6 +154,29 @@ TEST(CounterContracts, Fig2BoardSparseModal) {
     const auto modes = board.solve_modal(opts);
     ASSERT_EQ(modes.frequencies_hz.size(), 6u);
   });
+}
+
+TEST(CounterContracts, FvAmgSteady) {
+  // Steady solves above thermal::kAmgMinCells run multigrid-preconditioned
+  // CG: pin the outer iterations, the inner level cycles and the one
+  // hierarchy setup per cold solve for an isotropic cube and for the
+  // heat-pipe drain box.
+  const std::vector<std::pair<std::string, at::FvModel>> models{
+      {"slab_32", av::amg_slab_case(32)}, {"drain_box", av::amg_drain_box_case()}};
+  av::GoldenRecorder rec("obs_fv_amg", AEROPACK_OBS_GOLDEN_DIR, "obs");
+  for (const auto& [name, model] : models) {
+    const auto counters = thread_invariant_counters(name, [&model] {
+      const auto sol = model.solve_steady();
+      ASSERT_TRUE(sol.converged);
+    });
+    for (const char* key : {"numeric.cg.iterations", "numeric.amg.cycles", "numeric.amg.setups"}) {
+      ASSERT_EQ(counters.count(key), 1u) << name << ": no " << key;
+      rec.record(name + "." + key, static_cast<double>(counters.at(key)));
+    }
+  }
+  std::string joined;
+  for (const auto& line : rec.finish(0.0)) joined += "\n  " + line;
+  EXPECT_TRUE(joined.empty()) << rec.path() << ":" << joined;
 }
 
 TEST(CounterContracts, SlabTransientWarmStartsEveryStep) {

@@ -8,6 +8,7 @@
 // double as race detectors for concurrent artifact sharing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <string>
@@ -17,6 +18,7 @@
 #include "fem/modal.hpp"
 #include "fem/plate.hpp"
 #include "materials/solid.hpp"
+#include "numeric/sparse.hpp"
 #include "rom/cache.hpp"
 #include "rom/canonical.hpp"
 #include "rom/service_graphs.hpp"
@@ -236,5 +238,57 @@ void expect_cold_equals_hit(std::size_t threads_per_scenario, std::size_t worker
 TEST(ArtifactReuse, ServiceCacheHitsBitIdenticalAt1Thread) { expect_cold_equals_hit(1, 1); }
 TEST(ArtifactReuse, ServiceCacheHitsBitIdenticalAt2Threads) { expect_cold_equals_hit(2, 2); }
 TEST(ArtifactReuse, ServiceCacheHitsBitIdenticalAt8Threads) { expect_cold_equals_hit(8, 4); }
+
+// A 48^3 fv_slab_steady (the fv_fine_steady benchmark grid) runs its steady
+// solve on multigrid-preconditioned CG: bitwise the same with the cache on
+// (a second spec hits the cached assembly and its hierarchy) and off,
+// energy-conserving to the benchmark's bound, and within 1e-6 K of a
+// Jacobi-CG solve of the same linear system.
+TEST(ArtifactReuse, FineSlabAmgSolveIsCacheIndependentAndMatchesJacobi) {
+  constexpr std::size_t kCells = 48;
+  static_assert(kCells * kCells * kCells >= at::kAmgMinCells);
+  const double power_w = 7.0, t_cold = 291.0, t_hot = 327.0;
+  ac::ScenarioSpec spec;
+  spec.graph = "fv_slab_steady";
+  spec.params = {{"nx", kCells}, {"ny", kCells}, {"nz", kCells},
+                 {"lx", 0.05},   {"ly", 0.05},   {"lz", 0.05}};
+  spec.loads = {{"power_w", power_w}};
+  spec.boundaries = {{"t_cold", t_cold}, {"t_hot", t_hot}};
+  std::vector<ac::ScenarioSpec> specs{spec, spec};
+  specs[0].name = "fine_a";
+  specs[1].name = "fine_b";
+
+  ac::ScenarioServiceOptions opts;
+  opts.workers = 1;
+  opts.threads_per_scenario = 2;
+  opts.deduplicate = false;
+  ac::ScenarioService cached(opts);
+  const std::vector<ac::ScenarioResult> with_cache = cached.run(specs);
+  EXPECT_EQ(cached.cache().stats().hits, 1u);
+  opts.use_cache = false;
+  ac::ScenarioService uncached(opts);
+  const std::vector<ac::ScenarioResult> without_cache = uncached.run({specs[0]});
+
+  for (const ac::ScenarioResult& r : with_cache) ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+  ASSERT_TRUE(without_cache[0].ok) << without_cache[0].error;
+  for (const auto& [key, value] : without_cache[0].values) {
+    EXPECT_EQ(with_cache[0].values.at(key), value) << key << " (cold build)";
+    EXPECT_EQ(with_cache[1].values.at(key), value) << key << " (cache hit)";
+  }
+  const std::map<std::string, double>& out = without_cache[0].values;
+  EXPECT_LE(out.at("energy_residual"), 1e-6 * power_w);
+
+  at::FvModel slab(at::FvGrid::uniform(0.05, 0.05, 0.05, kCells, kCells, kCells));
+  slab.set_material(am::aluminum_6061());
+  slab.add_power(slab.all_cells(), power_w);
+  slab.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(t_cold));
+  slab.set_boundary(at::Face::XMax, at::BoundaryCondition::fixed(t_hot));
+  const at::LinearSteadySystem sys = slab.linearize_steady();
+  const auto jacobi = aeropack::numeric::conjugate_gradient(sys.matrix, sys.rhs);
+  ASSERT_TRUE(jacobi.converged);
+  double t_max = -1e300;
+  for (const double t : jacobi.x) t_max = std::max(t_max, t);
+  EXPECT_NEAR(out.at("t_max"), t_max, 1e-6);
+}
 
 }  // namespace

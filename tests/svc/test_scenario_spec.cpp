@@ -115,4 +115,31 @@ TEST(ScenarioSpec, DeserializeRejectsMalformedInput) {
                std::invalid_argument);
 }
 
+TEST(ScenarioSpec, DeserializeRefusesNonFiniteValuesByKey) {
+  // strtod accepts every one of these; 1e400 overflows to +inf.
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity", "1e400", "-1e400"}) {
+    const std::string text = std::string("scenario/1|name=a|graph=g|l:power_w=") + bad;
+    try {
+      (void)ac::ScenarioSpec::deserialize(text);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("power_w"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+}
+
+TEST(ScenarioSpec, FiniteHexfloatExtremesStillRoundTrip) {
+  ac::ScenarioSpec spec;
+  spec.name = "extremes";
+  spec.graph = "g";
+  spec.boundaries = {{"max", std::numeric_limits<double>::max()},
+                     {"lowest", std::numeric_limits<double>::lowest()},
+                     {"min_normal", std::numeric_limits<double>::min()},
+                     {"denormal_min", std::numeric_limits<double>::denorm_min()}};
+  const ac::ScenarioSpec back = ac::ScenarioSpec::deserialize(spec.serialize());
+  EXPECT_EQ(spec, back);
+  EXPECT_EQ(spec.content_hash(), back.content_hash());
+}
+
 }  // namespace

@@ -71,16 +71,19 @@ TEST(ThreadSweep, TransientMarchBitIdentical) {
 TEST(ThreadSweep, MmsLadderErrorsExactlyReproducible) {
   // The MMS error norms are pure functions of the solved fields, so the
   // whole convergence report — every rung and the fitted order — must be
-  // exactly equal (==, not near) at any thread count.
+  // exactly equal (==, not near) at any thread count. The 32^3 rung is
+  // above the multigrid crossover, so the ladder covers both CG paths.
   ThreadCountGuard guard;
   const auto mms = av::mms_graded_k(0.1, 0.12, 0.08, 10.0, 1.5, 300.0, 40.0);
+  const std::vector<std::size_t> rungs{8, 16, 32};
+  static_assert(32 * 32 * 32 >= at::kAmgMinCells);
   an::set_thread_count(1);
   const auto reference =
-      av::mms_steady_order(mms, {8, 16}, at::FaceConductanceScheme::HarmonicMean);
+      av::mms_steady_order(mms, rungs, at::FaceConductanceScheme::HarmonicMean);
   for (std::size_t t : kThreadSweep) {
     an::set_thread_count(t);
     const auto report =
-        av::mms_steady_order(mms, {8, 16}, at::FaceConductanceScheme::HarmonicMean);
+        av::mms_steady_order(mms, rungs, at::FaceConductanceScheme::HarmonicMean);
     ASSERT_EQ(report.ladder.size(), reference.ladder.size());
     for (std::size_t i = 0; i < report.ladder.size(); ++i) {
       EXPECT_EQ(report.ladder[i].l2_error, reference.ladder[i].l2_error) << t;
