@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "numeric/parallel.hpp"
+#include "numeric/stencil.hpp"
 #include "obs/registry.hpp"
 
 namespace aeropack::numeric {
@@ -183,6 +184,8 @@ AmgHierarchy::AmgHierarchy(const CsrMatrix& a)
   }
 }
 
+AmgHierarchy::AmgHierarchy(const StencilMatrix& a) : AmgHierarchy(a.to_csr()) {}
+
 std::size_t AmgHierarchy::rows(std::size_t level) const {
   if (level >= levels()) throw std::out_of_range("AmgHierarchy::rows");
   return level == 0 ? fine_rows_ : coarse_[level - 1].member_ptr.size() - 1;
@@ -199,34 +202,40 @@ std::size_t AmgHierarchy::cost_bytes() const {
 
 // --- AmgWorkspace -------------------------------------------------------------
 
-namespace {
-
-/// One level's operator for a row sweep: the fine CSR matrix (diagonal
-/// stored in place), or a coarse level's off-diagonal couplings plus the
-/// workspace's refreshed diagonal.
-struct LevelOp {
-  const CsrMatrix* fine = nullptr;
+/// One level's operator for a row sweep: the fine stencil or CSR matrix
+/// (diagonal stored in place), or a coarse level's off-diagonal couplings
+/// plus the workspace's refreshed diagonal.
+struct AmgWorkspace::LevelOp {
+  const StencilMatrix* stencil = nullptr;
+  const CsrMatrix* csr = nullptr;
   const std::vector<std::size_t>* row_ptr = nullptr;
   const std::vector<std::size_t>* col = nullptr;
   const std::vector<double>* val = nullptr;
   const Vector* diag = nullptr;
 };
 
-/// fn(i, (A x)_i) for every row, row-partitioned across the pool. Each row
-/// sums in its stored order, so the result is partition-independent.
+/// Each row sums in its stored order, so the result is partition-independent.
 template <typename RowFn>
-void for_each_row(ThreadPool& pool, const LevelOp& op, const Vector& x, RowFn&& fn) {
-  if (op.fine) {
-    const auto& rp = op.fine->row_ptr();
-    const auto& ci = op.fine->col_idx();
-    const auto& av = op.fine->values();
-    parallel_for(pool, 0, op.fine->rows(), [&](std::size_t lo, std::size_t hi) {
+void AmgWorkspace::for_each_row(ThreadPool& pool, const LevelOp& op, const Vector& x,
+                                RowFn&& fn) {
+  if (op.stencil) {
+    const StencilMatrix& a = *op.stencil;
+    parallel_for(pool, 0, a.rows(), [&](std::size_t lo, std::size_t hi) {
+      a.for_each_row(lo, hi, x, fn);
+    }, grain::Work::elements(a.nonzeros(), grain::Cost::kSpmv));
+    return;
+  }
+  if (op.csr) {
+    const auto& rp = op.csr->row_ptr();
+    const auto& ci = op.csr->col_idx();
+    const auto& av = op.csr->values();
+    parallel_for(pool, 0, op.csr->rows(), [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
         double ax = 0.0;
         for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) ax += av[k] * x[ci[k]];
         fn(i, ax);
       }
-    }, grain::Work::elements(op.fine->nonzeros(), grain::Cost::kSpmv));
+    }, grain::Work::elements(op.csr->nonzeros(), grain::Cost::kSpmv));
     return;
   }
   const auto& rp = *op.row_ptr;
@@ -241,8 +250,6 @@ void for_each_row(ThreadPool& pool, const LevelOp& op, const Vector& x, RowFn&& 
     }
   }, grain::Work::elements(ci.size() + d.size(), grain::Cost::kSpmv));
 }
-
-}  // namespace
 
 AmgWorkspace::AmgWorkspace(const AmgHierarchy& hierarchy) : h_(&hierarchy) {
   levels_.resize(h_->levels());
@@ -264,11 +271,25 @@ void AmgWorkspace::refresh(ThreadPool& pool, const CsrMatrix& a) {
   if (a.rows() != h_->fine_rows_ || a.nonzeros() != h_->fine_nonzeros_)
     throw std::invalid_argument("AmgWorkspace::refresh: matrix does not match the hierarchy");
   obs::ScopedTimer span("numeric.amg.refresh");
-  // Level by level: the diagonal (read in place on the fine level), then the
+  Vector d(a.rows());
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] = a.values()[h_->fine_diag_[i]];
+  refresh_levels(pool, d, a);
+}
+
+void AmgWorkspace::refresh(ThreadPool& pool, const StencilMatrix& a) {
+  if (a.rows() != h_->fine_rows_ || a.nonzeros() != h_->fine_nonzeros_)
+    throw std::invalid_argument("AmgWorkspace::refresh: matrix does not match the hierarchy");
+  obs::ScopedTimer span("numeric.amg.refresh");
+  refresh_levels(pool, a.diagonal(), levels_.size() == 1 ? a.to_csr() : CsrMatrix());
+}
+
+void AmgWorkspace::refresh_levels(ThreadPool& pool, const Vector& fine_diag,
+                                  const CsrMatrix& fine) {
+  // Level by level: the diagonal (the caller's on the fine level), then the
   // damped-Jacobi scale. A coarse diagonal is the fixed intra-aggregate
   // coupling sum plus its members' finer diagonals, summed in member order.
   const auto diag_of = [&](std::size_t l, std::size_t i) {
-    return l == 0 ? a.values()[h_->fine_diag_[i]] : levels_[l].diag[i];
+    return l == 0 ? fine_diag[i] : levels_[l].diag[i];
   };
   for (std::size_t l = 0; l < levels_.size(); ++l) {
     LevelState& s = levels_[l];
@@ -294,9 +315,9 @@ void AmgWorkspace::refresh(ThreadPool& pool, const CsrMatrix& a) {
   // Its entries sum to 1^T A 1 of the fine matrix (piecewise-constant
   // prolongation maps the coarse ones vector to the fine one).
   if (levels_.size() == 1) {
-    coarsest_.emplace(a);
+    coarsest_.emplace(fine);
     total_coupling_ = 0.0;
-    for (const double v : a.values()) total_coupling_ += v;
+    for (const double v : fine.values()) total_coupling_ += v;
     return;
   }
   const AmgHierarchy::Level& lv = h_->coarse_.back();
@@ -330,8 +351,22 @@ void AmgWorkspace::refresh(ThreadPool& pool, const CsrMatrix& a) {
 
 void AmgWorkspace::apply(ThreadPool& pool, const CsrMatrix& a, const Vector& r, Vector& x,
                          Vector& z) {
+  LevelOp fine;
+  fine.csr = &a;
+  apply_fine(pool, fine, a.rows(), r, x, z);
+}
+
+void AmgWorkspace::apply(ThreadPool& pool, const StencilMatrix& a, const Vector& r, Vector& x,
+                         Vector& z) {
+  LevelOp fine;
+  fine.stencil = &a;
+  apply_fine(pool, fine, a.rows(), r, x, z);
+}
+
+void AmgWorkspace::apply_fine(ThreadPool& pool, const LevelOp& fine, std::size_t rows,
+                              const Vector& r, Vector& x, Vector& z) {
   if (!coarsest_) throw std::logic_error("AmgWorkspace::apply: refresh() first");
-  if (r.size() != h_->fine_rows_ || a.rows() != h_->fine_rows_ || x.size() != r.size())
+  if (r.size() != h_->fine_rows_ || rows != h_->fine_rows_ || x.size() != r.size())
     throw std::invalid_argument("AmgWorkspace::apply: size mismatch");
   if (&z == &r || &z == &x) throw std::invalid_argument("AmgWorkspace::apply: z aliases r or x");
   z.resize(r.size());
@@ -339,10 +374,10 @@ void AmgWorkspace::apply(ThreadPool& pool, const CsrMatrix& a, const Vector& r, 
     z = coarsest_->solve(r);
     return;
   }
-  cycle(pool, 0, &a, r, x, z);
+  cycle(pool, 0, &fine, r, x, z);
 }
 
-void AmgWorkspace::cycle(ThreadPool& pool, std::size_t level, const CsrMatrix* fine,
+void AmgWorkspace::cycle(ThreadPool& pool, std::size_t level, const LevelOp* fine,
                          const Vector& r, Vector& x, Vector& z) {
   ++cycles_;
   LevelState& s = levels_[level];
@@ -350,10 +385,10 @@ void AmgWorkspace::cycle(ThreadPool& pool, std::size_t level, const CsrMatrix* f
   const AmgHierarchy::Level& agg = h_->coarse_[level];
   LevelOp op;
   if (fine) {
-    op.fine = fine;
+    op = *fine;
   } else {
     const AmgHierarchy::Level& lv = h_->coarse_[level - 1];
-    op = LevelOp{nullptr, &lv.row_ptr, &lv.col, &lv.val, &s.diag};
+    op = LevelOp{nullptr, nullptr, &lv.row_ptr, &lv.col, &lv.val, &s.diag};
   }
   const std::size_t n = r.size();
   // The residual of the pre-smoothed iterate (parked in z, which is written
@@ -394,7 +429,7 @@ void AmgWorkspace::kcycle(ThreadPool& pool, std::size_t level) {
   // one level cycle (Notay & Vassilevski's K-cycle).
   LevelState& s = levels_[level];
   const AmgHierarchy::Level& lv = h_->coarse_[level - 1];
-  const LevelOp op{nullptr, &lv.row_ptr, &lv.col, &lv.val, &s.diag};
+  const LevelOp op{nullptr, nullptr, &lv.row_ptr, &lv.col, &lv.val, &s.diag};
   const std::size_t n = s.rhs.size();
   presmoothed_cycle(pool, level, s.rhs, s.c);
   for_each_row(pool, op, s.c, [&](std::size_t i, double ax) { s.v[i] = ax; });

@@ -14,6 +14,10 @@
 // absorbed by an O(n) refresh (AmgWorkspace::refresh) — the hierarchy
 // itself is immutable and shareable across concurrent solves.
 //
+// The fine level is either operator form: a CsrMatrix, or the StencilMatrix
+// every FV solve runs on, whose hierarchy is set up from a temporary
+// to_csr() and whose cycles sweep the coefficient planes directly.
+//
 // Cycle (AmgWorkspace::apply): one damped-Jacobi sweep before and after the
 // coarse correction, restriction as a per-aggregate gather in fixed member
 // order, a K-cycle on every coarse level (two flexible-CG steps
@@ -35,6 +39,8 @@
 
 namespace aeropack::numeric {
 
+class StencilMatrix;
+
 /// Coarsening stops once a level has at most this many rows; that level is
 /// solved directly.
 inline constexpr std::size_t kAmgCoarsestRows = 256;
@@ -45,6 +51,8 @@ inline constexpr std::size_t kAmgCoarsestRows = 256;
 class AmgHierarchy {
  public:
   explicit AmgHierarchy(const CsrMatrix& a);
+  /// Same hierarchy as from a.to_csr(), which it is built from.
+  explicit AmgHierarchy(const StencilMatrix& a);
 
   /// Levels including the fine one (1 when `a` is already coarse enough).
   std::size_t levels() const { return coarse_.size() + 1; }
@@ -86,6 +94,7 @@ class AmgWorkspace {
   /// std::invalid_argument on a size mismatch, std::domain_error if a
   /// diagonal is not positive.
   void refresh(ThreadPool& pool, const CsrMatrix& a);
+  void refresh(ThreadPool& pool, const StencilMatrix& a);
 
   /// Fine-level damped-Jacobi scale, omega / diag, of the last refresh().
   const Vector& smoothing() const { return levels_.front().smooth; }
@@ -97,6 +106,7 @@ class AmgWorkspace {
   /// the cycle's iterate. z must alias neither r nor x
   /// (std::invalid_argument).
   void apply(ThreadPool& pool, const CsrMatrix& a, const Vector& r, Vector& x, Vector& z);
+  void apply(ThreadPool& pool, const StencilMatrix& a, const Vector& r, Vector& x, Vector& z);
 
   /// Sum of every entry of the refreshed matrix, 1^T A 1: the net coupling
   /// of the whole domain to its sinks in an FV system. Read exactly off the
@@ -118,9 +128,21 @@ class AmgWorkspace {
     Vector x;               ///< smoothed iterate inside a coarse level cycle
     Vector c, v, r2, d, w;  ///< K-cycle vectors
   };
-  /// z = B_l r at `level` (`fine` is the matrix at level 0, null below),
+  /// One level's operator for a row sweep (defined in amg.cpp).
+  struct LevelOp;
+  /// fn(i, (A x)_i) for every row of `op`, row-partitioned across the pool.
+  template <typename RowFn>
+  static void for_each_row(ThreadPool& pool, const LevelOp& op, const Vector& x, RowFn&& fn);
+  /// Smoother scales and coarse diagonals from the fine diagonal, then the
+  /// coarsest factor (`fine` is the fine matrix itself, read only when it
+  /// is the one level).
+  void refresh_levels(ThreadPool& pool, const Vector& fine_diag, const CsrMatrix& fine);
+  /// Shape checks, then z = B r through the fine level `fine`.
+  void apply_fine(ThreadPool& pool, const LevelOp& fine, std::size_t rows, const Vector& r,
+                  Vector& x, Vector& z);
+  /// z = B_l r at `level` (`fine` is the level-0 operator, null below),
   /// with x = smoothing ∘ r already in place.
-  void cycle(ThreadPool& pool, std::size_t level, const CsrMatrix* fine, const Vector& r,
+  void cycle(ThreadPool& pool, std::size_t level, const LevelOp* fine, const Vector& r,
              Vector& x, Vector& z);
   /// Pre-smooth r into the coarse level's iterate, then cycle().
   void presmoothed_cycle(ThreadPool& pool, std::size_t level, const Vector& r, Vector& z);

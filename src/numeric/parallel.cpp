@@ -375,10 +375,9 @@ void parallel_for(std::size_t begin, std::size_t end,
 
 namespace {
 
-/// Fixed reduction chunk: independent of thread count, so per-chunk partial
-/// sums and their in-order combination are reproducible bit-for-bit.
-constexpr std::size_t kReductionChunk = 2048;
-
+// kReductionChunk (parallel.hpp) is independent of thread count, so
+// per-chunk partial sums and their in-order combination are reproducible
+// bit-for-bit.
 template <typename ChunkSum>
 double chunked_reduce(ThreadPool& pool, std::size_t n, grain::Work work,
                       ChunkSum&& chunk_sum) {
@@ -435,6 +434,11 @@ void chunked_reduce2(ThreadPool& pool, std::size_t n, grain::Work work,
 }
 
 }  // namespace
+
+double parallel_chunked_sum(ThreadPool& pool, std::size_t n, grain::Work work,
+                            const std::function<double(std::size_t, std::size_t)>& chunk_sum) {
+  return chunked_reduce(pool, n, work, chunk_sum);
+}
 
 double parallel_dot(ThreadPool& pool, const Vector& a, const Vector& b) {
   if (a.size() != b.size()) throw std::invalid_argument("parallel_dot: size mismatch");

@@ -135,6 +135,18 @@ void parallel_for(std::size_t begin, std::size_t end,
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 
+/// Fixed chunk of every deterministic reduction: [0, n) splits into chunks
+/// of this many elements (the last one shorter), whatever the thread count.
+inline constexpr std::size_t kReductionChunk = 2048;
+
+/// The reduction under every kernel below: chunk_sum(lo, hi) over each
+/// fixed chunk of [0, n), partials summed in chunk order. A fused kernel
+/// that must return the same bits as parallel_dot (StencilMatrix::
+/// multiply_dot) partitions its work by these chunks too. `work` only
+/// decides whether the chunks fan out.
+double parallel_chunked_sum(ThreadPool& pool, std::size_t n, grain::Work work,
+                            const std::function<double(std::size_t, std::size_t)>& chunk_sum);
+
 /// Deterministic chunked reductions. The chunk size is a compile-time
 /// constant (not thread-dependent), so results are identical across thread
 /// counts — and across pools — to the last bit.

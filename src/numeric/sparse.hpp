@@ -14,6 +14,7 @@ namespace aeropack::numeric {
 
 class AmgWorkspace;
 class CsrMatrix;
+class StencilMatrix;
 class ThreadPool;
 
 /// Coordinate-format accumulator; duplicate (i,j) entries are summed on build.
@@ -117,7 +118,7 @@ struct IterativeOptions {
 /// inner iteration count sharply. SpMV and all reductions run on the
 /// parallel layer with deterministic chunked partial sums, so the returned
 /// solution is bit-identical across thread counts — and across pools. The
-/// pool-less overload runs on the calling thread's current pool.
+/// pool-less overloads run on the calling thread's current pool.
 ///
 /// With `amg` null this is the fused Jacobi-preconditioned loop. A non-null
 /// AMG workspace (numeric/amg.hpp) is first refreshed from `a`, whose
@@ -125,10 +126,20 @@ struct IterativeOptions {
 /// preconditions a flexible (Polak–Ribière) CG with one multigrid cycle per
 /// iteration; its inner K-cycle steps count as "numeric.amg.cycles", never
 /// as "numeric.cg.*".
+///
+/// One loop serves both operator forms. The StencilMatrix overloads (every
+/// FV solve) return the same bits as the CSR overloads on a.to_csr(), with
+/// the same counters: the stencil only streams less memory per iteration.
 IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
                                    const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
 IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
+                                   const IterativeOptions& opts = {},
+                                   const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
+IterativeResult conjugate_gradient(const StencilMatrix& a, const Vector& b,
+                                   const IterativeOptions& opts = {},
+                                   const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
+IterativeResult conjugate_gradient(ThreadPool& pool, const StencilMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
                                    const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
 

@@ -26,6 +26,7 @@
 #include "materials/solid.hpp"
 #include "numeric/dense.hpp"
 #include "numeric/sparse.hpp"
+#include "numeric/stencil.hpp"
 #include "thermal/convection.hpp"
 
 namespace aeropack::numeric {
@@ -126,7 +127,7 @@ struct FvSolution {
   numeric::Vector temperatures;  ///< per cell [K]
   std::size_t picard_iterations = 0;
   std::size_t linear_iterations = 0;  ///< total inner CG iterations
-  /// Number of CSR symbolic assemblies performed. With the cached fast path
+  /// Number of structural assemblies performed. With the cached fast path
   /// this is 1 per solve regardless of Picard pass count — only boundary
   /// values are rewritten in place between passes.
   std::size_t structure_assemblies = 0;
@@ -152,10 +153,13 @@ struct FvTransientSolution {
 /// assembled structure. The mission layer (aeropack::mission) builds drives
 /// from mission::Profile; hand-written drives are equally valid.
 struct FvDrive {
-  /// Transform a model boundary condition for mission time `t`. Called for
-  /// every boundary cell-face on every step; must be pure (same inputs,
-  /// same output) for the march to stay deterministic. Null = boundaries
-  /// as stored on the model.
+  /// Transform a model boundary condition for mission time `t`. Each
+  /// rewrite calls it only when a boundary cell-face's stored condition
+  /// differs bit for bit from the last one resolved on the same Face, and
+  /// reuses that result otherwise, so a face holding a few distinct
+  /// conditions costs a few calls per step, not one per cell-face. It must
+  /// therefore be pure (same inputs, same output), which also keeps the
+  /// march deterministic. Null = boundaries as stored on the model.
   std::function<BoundaryCondition(double t, Face face, const BoundaryCondition& bc)> boundary;
   /// Multiplier on volumetric sources at time `t` (prescribed boundary
   /// fluxes are environment inputs, not dissipation — they are never
@@ -167,24 +171,25 @@ struct FvDrive {
 /// conditions are all temperature-independent (Adiabatic, FixedTemperature,
 /// fixed-h Convection, HeatFlux). This is the operator the compact-model
 /// reduction pipeline (aeropack::rom) projects onto its snapshot basis: the
-/// matrix is SPD with the 7-point CSR structure, and the right-hand side is
+/// matrix is SPD with the 7-point structure, handed out as CSR (the
+/// to_csr() of the rewritten stencil operator), and the right-hand side is
 /// affine in the boundary sink temperatures and source powers.
 struct LinearSteadySystem {
   numeric::CsrMatrix matrix;  ///< SPD conduction + boundary-film operator
   numeric::Vector rhs;        ///< sources + flux terms + film * sink terms [W]
 };
 
-/// The immutable structural half of an FV solve: the 7-point CSR pattern and
-/// every temperature-independent internal coefficient (face conductances,
+/// The immutable structural half of an FV solve: the 7-point stencil operator
+/// of every temperature-independent internal coefficient (face conductances,
 /// contact interfaces) — and nothing that depends on sources, boundary
 /// conditions or a time step, which are applied per solve into a private
-/// workspace. Steady solves, marches at any step and models that differ only
+/// copy of its diagonal. Steady solves, marches at any step and models that differ only
 /// in loads/boundaries therefore share one FvAssembly, which is what the
 /// scenario-service ArtifactCache exploits across a qualification campaign.
 ///
 /// Grids of at least kAmgMinCells cells also carry the multigrid hierarchy
-/// of the boundary-free off-diagonals; boundary films move only the
-/// diagonal, which each steady solve folds into a private AmgWorkspace.
+/// of the boundary-free couplings; boundary films move only the diagonal,
+/// which each steady solve folds into a private AmgWorkspace.
 ///
 /// Shareability contract: all fields, the hierarchy included, are written
 /// once by FvModel::build_assembly and never mutated afterwards; concurrent
@@ -192,8 +197,9 @@ struct LinearSteadySystem {
 /// solve on a cached assembly is bitwise identical to the cold-start solve
 /// that would have built it (gated by tests/svc/test_artifact_reuse.cpp).
 struct FvAssembly {
-  numeric::CsrMatrix matrix;            ///< pattern + boundary-free values
-  std::vector<std::size_t> diag_index;  ///< per-row offset of the diagonal entry
+  /// Face couplings -g and the boundary-free diagonal, each row's couplings
+  /// summed in CSR column order (-z, -y, -x, +x, +y, +z).
+  numeric::StencilMatrix matrix;
   std::uint64_t structural_hash = 0;    ///< FvModel::structural_hash at build time
   /// Multigrid hierarchy of `matrix`; null below kAmgMinCells cells.
   std::shared_ptr<const numeric::AmgHierarchy> amg;
@@ -321,21 +327,21 @@ class FvModel {
   const BoundaryCondition& boundary_for(Face f, std::size_t a, std::size_t b) const;
 
   /// Per-solve mutable state layered over an immutable (possibly shared)
-  /// FvAssembly: a working copy of the matrix (its values; the pattern is
-  /// shared) that every Picard pass and time step rewrites in place; the
-  /// shared assembly is never touched.
+  /// FvAssembly: a working copy of the operator (its diagonal; the
+  /// couplings are shared) that every Picard pass and time step rewrites in
+  /// place; the shared assembly is never touched.
   struct Workspace {
     std::shared_ptr<const FvAssembly> assembly;
-    numeric::CsrMatrix matrix;  ///< working copy: base values + capacity + boundary films
+    numeric::StencilMatrix matrix;  ///< diagonal: base + capacity + boundary films
   };
 
   Workspace make_workspace(std::shared_ptr<const FvAssembly> assembly) const;
-  /// The one rewrite of every per-solve term: resets the workspace matrix to
-  /// the base values and `rhs` to the power-scaled sources, then adds each
-  /// boundary face's flux or film (linearized at `temps`), with conditions
-  /// resolved through `drive` at time `t` (null = stored, scale 1). A
-  /// non-null `capacity` (rho*cp*V per cell) adds the implicit-Euler terms of
-  /// a step of 1/`inv_dt` from `temps`.
+  /// The one rewrite of every per-solve term: resets the workspace diagonal
+  /// to the base diagonal and `rhs` to the power-scaled sources, then adds
+  /// each boundary face's flux or film (linearized at `temps`), with
+  /// conditions resolved through `drive` at time `t` (null = stored, scale
+  /// 1). A non-null `capacity` (rho*cp*V per cell) adds the implicit-Euler
+  /// terms of a step of 1/`inv_dt` from `temps`.
   void update_boundary_terms(Workspace& ws, const numeric::Vector& temps, numeric::Vector& rhs,
                              const FvDrive* drive = nullptr, double t = 0.0,
                              const numeric::Vector* capacity = nullptr,
