@@ -9,9 +9,11 @@
 // AMG-preconditioned CG (numeric/amg.hpp) through the numeric API, and
 // prints the measured Jacobi/AMG crossover; the full sweep adds the four
 // solver stress cases (verify/solver_cases.hpp), the slab and graded cubes
-// from 16^3 to 64^3 and the graded-k MMS rungs. Emits
-// BENCH_sparse_kernels.json (machine-readable) so later PRs can track the
-// perf trajectory, plus the usual table on stdout.
+// from 16^3 to 64^3 and the graded-k MMS rungs. The full sweep also times
+// SpMV and Jacobi-CG on the model's own stencil operator against its
+// to_csr() at every thread count, and fails if the two CG solutions differ
+// in any bit. Emits BENCH_sparse_kernels.json (machine-readable) so later
+// changes can track the perf trajectory, plus the usual table on stdout.
 //
 // Headline numbers: steady-solve speedup at 4 threads vs 1 thread on the
 // largest grid measured, the assembly time removed per Picard pass by
@@ -20,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <stdexcept>
@@ -32,6 +35,7 @@
 #include "numeric/amg.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/sparse.hpp"
+#include "numeric/stencil.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "thermal/fv.hpp"
@@ -151,6 +155,48 @@ SolverComparison compare_solvers(const std::string& name, const at::FvModel& mod
   return out;
 }
 
+/// One operator in both storage forms at one thread count.
+struct FormTiming {
+  std::size_t threads = 1;
+  double spmv_stencil_ms = 0.0;
+  double spmv_csr_ms = 0.0;
+  double cg_stencil_ms = 0.0;
+  double cg_csr_ms = 0.0;
+  std::size_t cg_iterations = 0;
+};
+
+/// SpMV and Jacobi-CG on `model`'s steady operator as the solver runs it —
+/// the assembly's stencil with the boundary-rewritten diagonal — and on its
+/// to_csr(), at each thread count (median of `reps`). Throws when the two
+/// CG solutions differ in any bit.
+std::vector<FormTiming> compare_forms(const at::FvModel& model,
+                                      const std::vector<std::size_t>& thread_counts, int reps) {
+  const at::LinearSteadySystem sys = model.linearize_steady();
+  an::StencilMatrix stencil = model.build_assembly()->matrix;
+  stencil.diagonal() = sys.matrix.diagonal();
+  const an::CsrMatrix csr = stencil.to_csr();
+  const an::Vector x(sys.rhs.size(), 1.0);
+  std::vector<FormTiming> out;
+  for (const std::size_t t : thread_counts) {
+    an::set_thread_count(t);
+    FormTiming ft;
+    ft.threads = t;
+    an::Vector y;
+    ft.spmv_stencil_ms = time_ms(reps, [&] { stencil.multiply(x, y); });
+    ft.spmv_csr_ms = time_ms(reps, [&] { csr.multiply(x, y); });
+    an::IterativeResult on_stencil, on_csr;
+    ft.cg_stencil_ms =
+        time_ms(reps, [&] { on_stencil = an::conjugate_gradient(stencil, sys.rhs); });
+    ft.cg_csr_ms = time_ms(reps, [&] { on_csr = an::conjugate_gradient(csr, sys.rhs); });
+    if (!on_stencil.converged || on_stencil.iterations != on_csr.iterations ||
+        std::memcmp(on_stencil.x.data(), on_csr.x.data(), x.size() * sizeof(double)) != 0)
+      throw std::runtime_error("compare_forms: stencil and CSR CG solutions differ");
+    ft.cg_iterations = on_stencil.iterations;
+    out.push_back(ft);
+  }
+  return out;
+}
+
 /// Milliseconds per call of the span `name` (at any depth) recorded between
 /// two snapshots of the timer tree.
 double span_ms_per_call(const std::vector<obs::TimerEntry>& before,
@@ -191,6 +237,7 @@ struct GridResult {
   double boundary_update_ms = 0.0;   ///< fv.update_boundary span, per call
   std::vector<ThreadTiming> timings;
   SolverComparison fv;  ///< the model's steady system, Jacobi vs AMG
+  std::vector<FormTiming> forms;  ///< the same operator as stencil and as CSR
 };
 
 /// Smallest measured cell count from which AMG wins at every measured
@@ -278,6 +325,20 @@ void write_json(const std::string& path, std::size_t hardware,
           << (t + 1 < r.timings.size() ? ",\n" : "\n");
     }
     out << "      ]";
+    if (!r.forms.empty()) {
+      out << ",\n      \"stencil_vs_csr\": [\n";
+      for (std::size_t t = 0; t < r.forms.size(); ++t) {
+        const FormTiming& f = r.forms[t];
+        out << "        {\"threads\": " << f.threads
+            << ", \"spmv_stencil_ms\": " << f.spmv_stencil_ms
+            << ", \"spmv_csr_ms\": " << f.spmv_csr_ms
+            << ", \"cg_stencil_ms\": " << f.cg_stencil_ms
+            << ", \"cg_csr_ms\": " << f.cg_csr_ms
+            << ", \"cg_iterations\": " << f.cg_iterations << "}"
+            << (t + 1 < r.forms.size() ? ",\n" : "\n");
+      }
+      out << "      ]";
+    }
     if (!r.fv.timings.empty()) {
       out << ",\n";
       write_comparison(out, r.fv, "      ");
@@ -444,6 +505,9 @@ int main(int argc, char** argv) try {
     // Jacobi vs AMG on the model's steady system. Skipped by --smoke, whose
     // 8^3 grid sits below the crossover and whose counters are frozen.
     if (!smoke) res.fv = compare_solvers("grid", model, thread_counts, reps);
+    // Stencil vs CSR on that operator: full sweep only, so the counters the
+    // --smoke and --scaling reports freeze stay as they are.
+    if (!smoke && !scaling) res.forms = compare_forms(model, thread_counts, reps);
 
     results.push_back(res);
     std::printf("  n=%2zu^3 (%7zu cells, %8zu nnz): triplet rebuild %8.3f ms/pass, "
@@ -496,6 +560,19 @@ int main(int argc, char** argv) try {
   std::printf("  headline: structure caching removes %.3f ms of triplet rebuild per"
               " Picard pass on %zu^3\n\n",
               big.triplet_assembly_ms, big.n);
+
+  if (!smoke && !scaling) {
+    std::printf("  %-8s | %-8s | %-12s | %-12s | %-12s | %-12s | %-6s\n", "operator",
+                "threads", "spmv stencil", "spmv csr", "cg stencil", "cg csr", "its");
+    std::printf("  ---------+----------+--------------+--------------+--------------+"
+                "--------------+-------\n");
+    for (const GridResult& r : results)
+      for (const FormTiming& f : r.forms)
+        std::printf("  %2zu^3     | %8zu | %9.3f ms | %9.3f ms | %9.3f ms | %9.3f ms | %6zu\n",
+                    r.n, f.threads, f.spmv_stencil_ms, f.spmv_csr_ms, f.cg_stencil_ms,
+                    f.cg_csr_ms, f.cg_iterations);
+    std::printf("  (stencil and CSR CG solutions are bitwise identical on every row)\n\n");
+  }
 
   if (!smoke) {
     std::printf("  %-16s | %7s | %8s | %8s | %10s | %7s | %10s | %7s\n", "steady system",

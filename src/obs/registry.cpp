@@ -8,7 +8,7 @@
 namespace aeropack::obs {
 
 namespace detail {
-thread_local Registry* t_current = nullptr;
+thread_local constinit Registry* t_current = nullptr;
 }  // namespace detail
 
 Registry* exchange_current(Registry* r) {

@@ -50,7 +50,11 @@ class Registry;
 namespace detail {
 /// Registry bound to this thread by ExecutionContext::Use; null means the
 /// process-wide default. Not touched directly — see current() / bind below.
-extern thread_local Registry* t_current;
+/// constinit (here and at the definition) tells every includer that the
+/// variable needs no dynamic initialization, so reads go straight to the
+/// thread-local slot instead of through a TLS wrapper call — the wrapper's
+/// return value is what -fsanitize=null reported as a null Registry*.
+extern thread_local constinit Registry* t_current;
 }  // namespace detail
 
 /// Monotonic event counter. add() is safe from any thread. Mutations are

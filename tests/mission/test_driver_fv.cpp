@@ -155,3 +155,42 @@ TEST(MissionDriverFv, DrivenMarchValidatesArguments) {
   const aeropack::numeric::Vector wrong(3, 300.0);
   EXPECT_THROW(m.solve_transient(10.0, 1.0, wrong, drive), std::invalid_argument);
 }
+
+TEST(MissionDriverFv, DriveRunsOncePerDistinctStoredConditionPerFace) {
+  // 6 x 4 x 3 slab whose XMin face carries a patch over j = 1..2 at k = 1.
+  // Walking that face's 12 cell-faces in visit order (j fastest, then k)
+  // meets three runs of equal stored conditions: default, patch, default.
+  at::FvModel m = make_slab();
+  m.set_boundary_patch(at::Face::XMin, {0, 1, 1, 3, 1, 2},
+                       at::BoundaryCondition::convection(80.0, 300.0));
+  std::size_t calls = 0;
+  at::FvDrive drive;
+  drive.boundary = [&calls](double, at::Face, const at::BoundaryCondition& bc) {
+    ++calls;
+    return bc;
+  };
+  at::FvTransientStepper stepper(m);
+  aeropack::numeric::Vector temps(m.grid().cell_count(), 300.0);
+  stepper.step(temps, 1.0, 1.0, &drive);
+  // One call per run: three on XMin, one on each of the other five faces.
+  EXPECT_EQ(calls, 3u + 5u);
+
+  // The memo compares bits: conditions that differ only in the sign of a
+  // zero are distinct, and the drive sees both.
+  at::FvModel z = make_slab();
+  at::BoundaryCondition pos = at::BoundaryCondition::heat_flux(0.0);
+  at::BoundaryCondition neg = at::BoundaryCondition::heat_flux(-0.0);
+  z.set_boundary(at::Face::YMin, pos);
+  z.set_boundary_patch(at::Face::YMin, {0, 3, 0, 1, 0, 3}, neg);
+  std::size_t negative_zeros = 0;
+  at::FvDrive sign;
+  sign.boundary = [&negative_zeros](double, at::Face, const at::BoundaryCondition& bc) {
+    if (bc.kind == at::BoundaryKind::HeatFlux && std::signbit(bc.flux)) ++negative_zeros;
+    return bc;
+  };
+  at::FvTransientStepper zstep(z);
+  aeropack::numeric::Vector ztemps(z.grid().cell_count(), 300.0);
+  zstep.step(ztemps, 1.0, 1.0, &sign);
+  // YMin alternates -0 (i = 0..2) and +0 (i = 3..5) on each of its 3 rows.
+  EXPECT_EQ(negative_zeros, 3u);
+}
