@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "numeric/sparse.hpp"
 #include "numeric/stats.hpp"
@@ -31,6 +32,27 @@ TEST(SparseBuilder, AccumulatesDuplicates) {
   EXPECT_DOUBLE_EQ(m.at(0, 0), 3.5);
   EXPECT_DOUBLE_EQ(m.at(1, 0), -1.0);
   EXPECT_DOUBLE_EQ(m.at(1, 1), 0.0);
+}
+
+TEST(SparseBuilder, DuplicatesSumInInsertionOrder) {
+  // 1e16 + 1 rounds back to 1e16, so only insertion order gives exactly 0:
+  // any other order of the three values sums to 1. Entries at other
+  // coordinates, added before, between and after, must not disturb it.
+  an::SparseBuilder b(3, 3);
+  b.add(2, 1, 7.0);
+  b.add(1, 2, 1e16);
+  b.add(0, 0, 4.0);
+  b.add(1, 2, 1.0);
+  b.add(2, 1, -3.0);
+  b.add(1, 0, 5.0);
+  b.add(1, 2, -1e16);
+  b.add(1, 1, 6.0);
+  const an::CsrMatrix m = b.build();
+  EXPECT_EQ(m.nonzeros(), 5u);
+  EXPECT_EQ(m.at(1, 2), 0.0);
+  EXPECT_EQ(m.at(2, 1), 4.0);
+  EXPECT_EQ(m.row_ptr(), (std::vector<std::size_t>{0, 1, 4, 5}));
+  EXPECT_EQ(m.col_idx(), (std::vector<std::size_t>{0, 0, 1, 2, 1}));
 }
 
 TEST(SparseBuilder, OutOfRangeThrows) {
