@@ -81,6 +81,15 @@ double norm2(const Vector& v);
 double norm_inf(const Vector& v);
 /// y += alpha * x
 void axpy(double alpha, const Vector& x, Vector& y);
+/// y[0, n) += alpha * x[0, n) on raw rows that must not overlap. The
+/// restrict qualifiers let the short row loops of the block kernels
+/// (block SpMV and solve, Rayleigh-Ritz projections) vectorize without
+/// alias checks. y - a x and y + (-a) x are the same IEEE operation, so
+/// callers that subtract pass -a.
+inline void axpy_row(double alpha, const double* __restrict x, double* __restrict y,
+                     std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
 /// Element-wise maximum value.
 double max_element(const Vector& v);
 /// Element-wise minimum value.

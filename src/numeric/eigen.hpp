@@ -3,12 +3,16 @@
 // Modal analysis in the FEM module solves K phi = lambda M phi with K
 // symmetric positive semi-definite and M symmetric positive definite.
 // We reduce to a standard symmetric problem via the Cholesky factor of M
-// and diagonalize with the cyclic Jacobi method (robust, adequate for the
-// dense reduced problems this toolkit produces).
+// and diagonalize it with Householder tridiagonalization plus implicit QL
+// (Golub & Van Loan §8.3; EISPACK tred2/tql2): serial, deterministic, and
+// accurate to a few ulps of the largest eigenvalue. That one symmetric
+// solver serves the dense modal path, the Rayleigh-Ritz step of the sparse
+// subspace iteration and the ROM's POD.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "numeric/dense.hpp"
 #include "numeric/sparse.hpp"
@@ -20,10 +24,10 @@ class SkylineCholesky;
 struct EigenResult {
   Vector eigenvalues;   ///< ascending order
   Matrix eigenvectors;  ///< column j pairs with eigenvalues[j]
-  std::size_t sweeps = 0;
 };
 
-/// Cyclic Jacobi diagonalization of a symmetric matrix.
+/// Eigen-decomposition of a symmetric matrix: Householder reduction to
+/// tridiagonal form, then implicit QL. Eigenvectors are orthonormal.
 /// Throws std::invalid_argument if `a` is not square or not symmetric to tol.
 EigenResult eigen_symmetric(const Matrix& a, double symmetry_tol = 1e-8);
 
@@ -68,6 +72,11 @@ struct ShiftedFactorization {
   /// y = (K - sigma*M)^-1 b via the skyline factor, or CG when the envelope
   /// was over budget. Throws std::domain_error if the CG fallback stalls.
   Vector solve(const Vector& b) const;
+  /// The same for q right-hand sides held row-major in `x` (x[i * q + c] is
+  /// entry i of column c), overwritten with the solutions: one pass of
+  /// SkylineCholesky::solve_block, or one CG solve per column. Each column
+  /// is bitwise equal to solve() on that column.
+  void solve_block(std::vector<double>& x, std::size_t q) const;
   /// Approximate resident size, for cost-aware cache eviction.
   std::size_t cost_bytes() const;
 };
@@ -84,7 +93,13 @@ ShiftedFactorization factorize_shift_invert(const CsrMatrix& k, const CsrMatrix&
 /// Lowest `n_modes` eigenpairs of K x = lambda M x for sparse symmetric K
 /// (positive semi-definite) and M (positive definite), via shift-invert
 /// subspace iteration with Rayleigh-Ritz projection. Eigenvectors are
-/// M-orthonormal. The inner factorization is a serial skyline Cholesky (CG
+/// M-orthonormal. The iteration starts from a fixed-seed generic block,
+/// solves the whole block per pass (SkylineCholesky::solve_block) and forms
+/// Y^T K Y from the right-hand sides the solve just used, so it costs 2q
+/// SpMVs per pass for subspace width q. When 2q exceeds the DOF count it
+/// runs instead one exact Rayleigh-Ritz pass on the identity block, the
+/// dense generalized solve, so every mode count up to the DOF count
+/// succeeds. The inner factorization is a serial skyline Cholesky (CG
 /// fallback), the SpMV/dot kernels run on the deterministic parallel layer,
 /// so results are bit-identical across thread counts.
 /// Throws std::invalid_argument on shape errors, std::domain_error if no

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 
 #include "numeric/amg.hpp"
@@ -24,42 +23,43 @@ void SparseBuilder::add(std::size_t i, std::size_t j, double v) {
 }
 
 CsrMatrix SparseBuilder::build() const {
-  std::vector<std::size_t> order(entries_.size());
-  std::iota(order.begin(), order.end(), 0);
-  // Tie-break equal (i,j) keys by insertion index so duplicate entries
-  // accumulate in the order they were added — FEM assembly then sums element
-  // contributions in element order, bit-identical to a dense scatter loop.
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const Entry& ea = entries_[a];
-    const Entry& eb = entries_[b];
-    if (ea.i != eb.i) return ea.i < eb.i;
-    if (ea.j != eb.j) return ea.j < eb.j;
-    return a < b;
-  });
+  // Two stable counting passes, by column and then by row, leave the
+  // entries in (row, column) order with duplicates in insertion order, so
+  // FEM assembly sums element contributions in element order, bit-identical
+  // to a dense scatter loop. After the row pass, row_end[r] is the end of
+  // row r's entries in `order`.
+  const std::size_t ne = entries_.size();
+  std::vector<std::size_t> col_end(cols_ + 1, 0);
+  for (const Entry& e : entries_) ++col_end[e.j + 1];
+  for (std::size_t c = 0; c < cols_; ++c) col_end[c + 1] += col_end[c];
+  std::vector<std::size_t> by_col(ne);
+  for (std::size_t k = 0; k < ne; ++k) by_col[col_end[entries_[k].j]++] = k;
 
-  std::vector<std::size_t> row_count(rows_, 0);
+  std::vector<std::size_t> row_end(rows_ + 1, 0);
+  for (const Entry& e : entries_) ++row_end[e.i + 1];
+  for (std::size_t r = 0; r < rows_; ++r) row_end[r + 1] += row_end[r];
+  std::vector<std::size_t> order(ne);
+  for (const std::size_t k : by_col) order[row_end[entries_[k].i]++] = k;
+
+  std::vector<std::size_t> row_ptr(rows_ + 1, 0);
   std::vector<std::size_t> col_idx;
   std::vector<double> values;
-  col_idx.reserve(entries_.size());
-  values.reserve(entries_.size());
-
-  bool have_last = false;
-  std::size_t last_i = 0, last_j = 0;
-  for (const std::size_t k : order) {
-    const Entry& e = entries_[k];
-    if (have_last && e.i == last_i && e.j == last_j) {
-      values.back() += e.v;  // duplicate entry: accumulate
-    } else {
-      col_idx.push_back(e.j);
-      values.push_back(e.v);
-      ++row_count[e.i];
-      last_i = e.i;
-      last_j = e.j;
-      have_last = true;
+  col_idx.reserve(ne);
+  values.reserve(ne);
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const std::size_t row_start = values.size();
+    for (; k < row_end[r]; ++k) {
+      const Entry& e = entries_[order[k]];
+      if (values.size() > row_start && col_idx.back() == e.j) {
+        values.back() += e.v;  // duplicate entry: accumulate
+      } else {
+        col_idx.push_back(e.j);
+        values.push_back(e.v);
+      }
     }
+    row_ptr[r + 1] = values.size();
   }
-  std::vector<std::size_t> row_ptr(rows_ + 1, 0);
-  for (std::size_t r = 0; r < rows_; ++r) row_ptr[r + 1] = row_ptr[r] + row_count[r];
   return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
@@ -113,6 +113,27 @@ void CsrMatrix::multiply(ThreadPool& pool, const Vector& x, Vector& y) const {
                  }
                },
                grain::Work::elements(nonzeros(), grain::Cost::kSpmv));
+}
+
+void CsrMatrix::multiply_block(const std::vector<double>& x, std::vector<double>& y,
+                               std::size_t q) const {
+  if (q == 0 || x.size() != cols_ * q)
+    throw std::invalid_argument("CsrMatrix::multiply_block: size mismatch");
+  assert(&x != &y && "CsrMatrix::multiply_block: y must not alias x");
+  static thread_local obs::CounterHandle spmv_calls{"numeric.spmv.calls"};
+  spmv_calls.add(q);
+  y.assign(rows_ * q, 0.0);
+  const std::vector<std::size_t>& rp = pattern_->row_ptr;
+  const std::vector<std::size_t>& ci = pattern_->col_idx;
+  // Column c of row i starts at 0 and accumulates values_[k] * x[ci[k]] in
+  // k order, exactly as multiply() does.
+  parallel_for(current_pool(), 0, rows_,
+               [&](std::size_t lo, std::size_t hi) {
+                 for (std::size_t i = lo; i < hi; ++i)
+                   for (std::size_t k = rp[i]; k < rp[i + 1]; ++k)
+                     axpy_row(values_[k], &x[ci[k] * q], &y[i * q], q);
+               },
+               grain::Work::elements(nonzeros() * q, grain::Cost::kSpmvBlock));
 }
 
 Vector CsrMatrix::diagonal() const {

@@ -17,7 +17,10 @@ class CsrMatrix;
 class StencilMatrix;
 class ThreadPool;
 
-/// Coordinate-format accumulator; duplicate (i,j) entries are summed on build.
+/// Coordinate-format accumulator; duplicate (i,j) entries are summed on
+/// build, in the order they were added. build() orders the entries with two
+/// stable counting passes (by column, then by row): O(entries + rows + cols),
+/// no comparison sort.
 class SparseBuilder {
  public:
   SparseBuilder(std::size_t rows, std::size_t cols);
@@ -70,6 +73,13 @@ class CsrMatrix {
   /// x: y is zeroed up front, before other threads' row chunks read x.
   void multiply(const Vector& x, Vector& y) const;
   void multiply(ThreadPool& pool, const Vector& x, Vector& y) const;
+  /// Y = A X for q vectors held row-major: x[j * q + c] is entry j of
+  /// column c, and y (resized to rows() * q) is laid out the same way. Each
+  /// column is bitwise equal to multiply() on it alone, and the call counts
+  /// as q SpMVs; one pass over A serves all q columns. Row-partitioned like
+  /// multiply(). y must not alias x.
+  void multiply_block(const std::vector<double>& x, std::vector<double>& y,
+                      std::size_t q) const;
   /// Extract the diagonal (missing entries are 0).
   Vector diagonal() const;
   /// Max |a_ij - a_ji|; O(nnz log nnz) via lookup. For tests.

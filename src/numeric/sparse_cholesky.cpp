@@ -80,4 +80,25 @@ Vector SkylineCholesky::solve(const Vector& b) const {
   return x;
 }
 
+void SkylineCholesky::solve_block(std::vector<double>& x, std::size_t q) const {
+  if (q == 0 || x.size() != n_ * q)
+    throw std::invalid_argument("SkylineCholesky::solve_block: size mismatch");
+  double* const xb = x.data();
+  // Forward: L Y = B, row i of every column at once.
+  for (std::size_t i = 0; i < n_; ++i) {
+    double* const xi = xb + i * q;
+    for (std::size_t k = first_[i]; k < i; ++k) axpy_row(-l(i, k), xb + k * q, xi, q);
+    const double d = l(i, i);
+    for (std::size_t c = 0; c < q; ++c) xi[c] /= d;
+  }
+  // Backward: L^T X = Y, column sweep.
+  for (std::size_t ip = n_; ip > 0; --ip) {
+    const std::size_t i = ip - 1;
+    double* const xi = xb + i * q;
+    const double d = l(i, i);
+    for (std::size_t c = 0; c < q; ++c) xi[c] /= d;
+    for (std::size_t k = first_[i]; k < i; ++k) axpy_row(-l(i, k), xi, xb + k * q, q);
+  }
+}
+
 }  // namespace aeropack::numeric

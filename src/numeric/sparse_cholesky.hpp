@@ -35,6 +35,12 @@ class SkylineCholesky {
   /// Solve A x = b (forward + backward substitution). Serial and therefore
   /// bit-deterministic across thread counts.
   Vector solve(const Vector& b) const;
+  /// Solve A X = B for q right-hand sides in one pass over L. `x` holds B
+  /// row-major (x[i * q + c] is entry i of column c) and is overwritten
+  /// with X. Each column is bitwise equal to solve() on that column alone:
+  /// the same operations run in the same order, q columns at a time.
+  /// Throws std::invalid_argument unless q > 0 and x.size() == size() * q.
+  void solve_block(std::vector<double>& x, std::size_t q) const;
 
  private:
   double& l(std::size_t i, std::size_t j) { return values_[offset_[i] + j - first_[i]]; }

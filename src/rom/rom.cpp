@@ -321,8 +321,9 @@ RomModel RomBuilder::build(const FvModel& source, const RomSpec& spec, const Rom
   info.snapshot_count = n_snap;
 
   // 3. Deterministic POD: Gram matrix with the fixed-chunk parallel_dot,
-  //    serial cyclic-Jacobi eigensolve, modes assembled in descending-energy
-  //    order and tightened with one modified Gram-Schmidt pass.
+  //    serial Householder + QL eigensolve, modes assembled in
+  //    descending-energy order and tightened with one modified Gram-Schmidt
+  //    pass.
   std::vector<Vector> modes;
   Vector energies;
   {

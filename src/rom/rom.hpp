@@ -17,11 +17,11 @@
 //
 // Determinism contract (the same one the FV/fem solvers carry): snapshot
 // solves use the deterministic warm-startable CG, inner products use the
-// fixed-chunk parallel_dot, and POD runs the serial cyclic-Jacobi
-// eigensolver — so bases, reduced operators and every evaluated output are
-// bit-identical across 1/2/8 threads and across ExecutionContexts. The rom
-// ctest tier freezes that contract alongside golden port resistances and
-// modal coefficients.
+// fixed-chunk parallel_dot, and POD runs the serial Householder + QL
+// eigensolver (numeric::eigen_symmetric) — so bases, reduced operators and
+// every evaluated output are bit-identical across 1/2/8 threads and across
+// ExecutionContexts. The rom ctest tier freezes that contract alongside
+// golden port resistances and modal coefficients.
 //
 // All temperatures are absolute [K]; port powers are [W].
 #pragma once

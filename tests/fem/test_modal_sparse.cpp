@@ -4,9 +4,13 @@
 // bit-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "fem/beam3d.hpp"
+#include "fem/frame.hpp"
 #include "fem/modal.hpp"
 #include "fem/plate.hpp"
 #include "materials/solid.hpp"
@@ -117,4 +121,93 @@ TEST(ModalSparse, BitIdenticalAcrossThreadCounts) {
             << "threads=" << threads << " mode=" << j << " dof=" << i;
   }
   an::set_thread_count(original);
+}
+
+namespace {
+
+af::FrameModel frame_cantilever(std::size_t elements) {
+  af::FrameModel f;
+  const auto mat = am::aluminum_6061();
+  const auto s = af::BeamSection::rectangle(0.02, 0.004);
+  std::size_t prev = f.add_node(0.0, 0.0);
+  f.fix_all(prev);
+  for (std::size_t i = 1; i <= elements; ++i) {
+    const std::size_t node = f.add_node(0.4 * static_cast<double>(i) / elements, 0.0);
+    f.add_beam(prev, node, mat, s);
+    prev = node;
+  }
+  return f;
+}
+
+af::FrameModel frame_two_mass_chain() {
+  af::FrameModel f;
+  const std::size_t a = f.add_node(0.0, 0.0);
+  const std::size_t b = f.add_node(0.0, 1.0);
+  for (const std::size_t n : {a, b}) {
+    f.fix(n, af::Dof::Ux);
+    f.fix(n, af::Dof::Rz);
+  }
+  f.add_ground_spring(a, af::Dof::Uy, 1000.0);
+  f.add_spring(a, b, af::Dof::Uy, 1000.0);
+  f.add_mass(a, 1.0);
+  f.add_mass(b, 1.0);
+  return f;
+}
+
+af::Frame3D frame3d_cantilever() {
+  af::Frame3D f;
+  const auto s = af::Section3D::rectangle(0.015, 0.003);
+  std::size_t prev = f.add_node(0, 0, 0);
+  f.fix_all(prev);
+  for (std::size_t i = 1; i <= 6; ++i) {
+    const std::size_t node = f.add_node(0.05 * static_cast<double>(i), 0, 0);
+    f.add_beam(prev, node, am::aluminum_6061(), s);
+    prev = node;
+  }
+  return f;
+}
+
+/// The 3-D L-bracket carrying a 6 kg unit at its tip.
+af::Frame3D bracket3d() {
+  af::Frame3D f;
+  const auto s = af::Section3D::rectangle(0.02, 0.03);
+  const auto base = f.add_node(0, 0, 0);
+  const auto knee = f.add_node(0, 0, 0.12);
+  const auto tip = f.add_node(0.10, 0, 0.12);
+  f.fix_all(base);
+  f.add_beam(base, knee, am::aluminum_7075(), s);
+  f.add_beam(knee, tip, am::aluminum_7075(), s);
+  f.add_mass(tip, 6.0);
+  return f;
+}
+
+template <typename Model>
+void expect_sparse_matches_dense(const std::string& name, const Model& model) {
+  an::CsrMatrix k, m;
+  model.reduced_sparse(k, m);
+  af::ModalOptions dense_opts, sparse_opts;
+  dense_opts.path = af::ModalPath::Dense;
+  sparse_opts.path = af::ModalPath::Sparse;  // n_modes = 0 asks for 16
+  const af::ReducedModes dense = af::solve_reduced_modes(k, m, dense_opts);
+  af::ReducedModes sparse;
+  ASSERT_NO_THROW(sparse = af::solve_reduced_modes(k, m, sparse_opts)) << name;
+  ASSERT_EQ(sparse.frequencies_hz.size(), std::min<std::size_t>(16, k.rows())) << name;
+  EXPECT_TRUE(sparse.used_sparse) << name;
+  for (std::size_t j = 0; j < sparse.frequencies_hz.size(); ++j)
+    EXPECT_NEAR(sparse.frequencies_hz[j], dense.frequencies_hz[j],
+                1e-10 * dense.frequencies_hz[j])
+        << name << " mode " << j;
+}
+
+}  // namespace
+
+TEST(ModalSparse, SmallFramesAndBracketsForcedSparseMatchDense) {
+  // The 16 default modes need a subspace wider than half the DOF count on
+  // every model here, which used to leave Y^T M Y singular ("Rayleigh-Ritz
+  // mass projection lost rank"). The sparse path now runs its exact
+  // identity-block pass instead.
+  expect_sparse_matches_dense("frame_cantilever_8", frame_cantilever(8));
+  expect_sparse_matches_dense("frame_two_mass_chain", frame_two_mass_chain());
+  expect_sparse_matches_dense("frame3d_cantilever_6", frame3d_cantilever());
+  expect_sparse_matches_dense("bracket3d", bracket3d());
 }

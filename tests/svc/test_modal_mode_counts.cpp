@@ -1,0 +1,67 @@
+// The sparse modal path never throws for a valid mode count. The
+// modal_plate graph's board has 84 free DOFs: every n_modes from 1 to 84,
+// and 1e6 (clamped to 84), must succeed through ScenarioService and match
+// the dense generalized solve within 1e-10 relative. Subspace widths above
+// half the DOF count take the exact identity-block Rayleigh-Ritz pass;
+// narrower ones iterate from the generic start block.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "core/scenario_service.hpp"
+#include "fem/modal.hpp"
+#include "fem/plate.hpp"
+#include "materials/solid.hpp"
+
+namespace ac = aeropack::core;
+namespace af = aeropack::fem;
+
+namespace {
+
+/// The board the modal_plate graph builds with default parameters.
+af::PlateModel default_board() {
+  af::PlateModel p(0.16, 0.10, 1.6e-3, aeropack::materials::fr4(), 8, 5);
+  p.set_edge(af::EdgeSupport::Clamped, true, true, true, true);
+  p.add_smeared_mass(2.5);
+  p.add_point_mass(0.05, 0.05, 0.18);
+  p.add_doubler(0.03, 0.13, 0.02, 0.08, 1.8);
+  return p;
+}
+
+}  // namespace
+
+TEST(ModalModeCounts, EveryModeCountSucceedsAndMatchesTheDensePath) {
+  af::ModalOptions dense_opts;
+  dense_opts.path = af::ModalPath::Dense;
+  const auto dense = default_board().solve_modal(dense_opts);
+  ASSERT_EQ(dense.frequencies_hz.size(), 84u);
+
+  std::vector<double> counts;
+  for (int n = 1; n <= 84; ++n) counts.push_back(n);
+  counts.push_back(1e6);
+  std::vector<ac::ScenarioSpec> specs;
+  for (const double n : counts) {
+    ac::ScenarioSpec spec;
+    spec.name = "n_modes=" + std::to_string(n);
+    spec.graph = "modal_plate";
+    spec.params = {{"n_modes", n}};
+    specs.push_back(spec);
+  }
+  ac::ScenarioService service;
+  const std::vector<ac::ScenarioResult> results = service.run(specs);
+  ASSERT_EQ(results.size(), counts.size());
+  for (std::size_t s = 0; s < results.size(); ++s) {
+    const ac::ScenarioResult& r = results[s];
+    ASSERT_TRUE(r.ok) << specs[s].name << ": " << r.error;
+    ASSERT_EQ(r.values.count("f1_hz"), 1u) << specs[s].name;
+    EXPECT_NEAR(r.values.at("f1_hz"), dense.frequencies_hz[0], 1e-10 * dense.frequencies_hz[0])
+        << specs[s].name;
+    if (counts[s] > 1) {
+      ASSERT_EQ(r.values.count("f2_hz"), 1u) << specs[s].name;
+      EXPECT_NEAR(r.values.at("f2_hz"), dense.frequencies_hz[1], 1e-10 * dense.frequencies_hz[1])
+          << specs[s].name;
+    }
+  }
+}

@@ -8,8 +8,9 @@
 //     the latency a kernel must amortize before fanning out.
 //  2. Per-element cost of each grain::Cost class, measured serially on
 //     resident data (median of repeated sweeps): stream (axpy), dot
-//     (chunked reduction), SpMV per nonzero (7-point Poisson), FV cell fill
-//     proxy, fused CG update.
+//     (chunked reduction), SpMV per nonzero (7-point Poisson), block SpMV
+//     per nonzero and column (16 columns), FV cell fill proxy, fused CG
+//     update.
 //  3. kMinWorkToFanOut = dispatch round-trip at 2 threads expressed in
 //     stream elements, times a 4x margin (fan out only when the win is
 //     clear); kMinWorkPerThread = half of it. Both rounded up to a power of
@@ -134,6 +135,14 @@ int main(int argc, char** argv) {
                            a.multiply(serial, v, av);
                          }) /
                          static_cast<double>(a.nonzeros());
+  constexpr std::size_t kBlockColumns = 16;
+  const std::vector<double> vb(a.cols() * kBlockColumns, 1.0);
+  std::vector<double> avb;
+  an::ThreadPool* const bound = an::exchange_current_pool(&serial);
+  const double spmv_block_ns =
+      time_median_ns(kReps, [&] { a.multiply_block(vb, avb, kBlockColumns); }) /
+      static_cast<double>(a.nonzeros() * kBlockColumns);
+  an::exchange_current_pool(bound);
   // FV cell proxy: the 7-point conductance fill is ~6x a stream element on
   // the machines measured so far; derive it from the SpMV row cost (7 nnz
   // per interior row plus indexing) rather than linking the thermal layer.
@@ -141,8 +150,9 @@ int main(int argc, char** argv) {
 
   std::printf("#\n# per-element costs (serial, resident):\n");
   std::printf("#   stream  %.3f ns\n#   dot     %.3f ns\n", stream_ns, dot_ns);
-  std::printf("#   spmv    %.3f ns/nnz\n#   cell    %.3f ns (proxy)\n",
-              spmv_ns, cell_ns);
+  std::printf("#   spmv    %.3f ns/nnz\n#   spmvblk %.3f ns/(nnz x column)\n",
+              spmv_ns, spmv_block_ns);
+  std::printf("#   cell    %.3f ns (proxy)\n", cell_ns);
   std::printf("#   fusedcg %.3f ns\n", fused_ns);
 
   const double fan_out_elems = 4.0 * dispatch2_ns / stream_ns;
@@ -153,8 +163,8 @@ int main(int argc, char** argv) {
   std::printf("inline constexpr double kMinWorkPerThread = %zu.0;\n",
               min_fan_out / 2);
   std::printf("# cost_weight suggestions (stream = 1.0):\n");
-  std::printf("#   kDot %.1f  kSpmv %.1f  kCell %.1f  kFusedCg %.1f\n",
+  std::printf("#   kDot %.1f  kSpmv %.1f  kCell %.1f  kFusedCg %.1f  kSpmvBlock %.1f\n",
               dot_ns / stream_ns, spmv_ns / stream_ns, cell_ns / stream_ns,
-              fused_ns / stream_ns);
+              fused_ns / stream_ns, spmv_block_ns / stream_ns);
   return 0;
 }
