@@ -2,9 +2,11 @@
 //
 // Sweeps the Fig. 2 power-supply board across mesh refinements and thread
 // counts, timing the CSR assembly (DofMap + triplet scatter + build), the
-// dense Jacobi generalized eigensolve, and the sparse shift-invert subspace
-// iteration. Emits BENCH_fem_assembly.json (machine-readable) so later PRs
-// can track the perf trajectory, plus the usual table on stdout.
+// dense generalized eigensolve (Cholesky reduction, Householder + QL), and
+// the sparse shift-invert subspace iteration. Emits BENCH_fem_assembly.json
+// (machine-readable, with the hardware threads, build type, compiler and
+// source commit it was recorded with) so later changes can track the perf
+// trajectory, plus the usual table on stdout.
 //
 // Headline numbers: the dense-vs-sparse crossover mesh, and the finest-mesh
 // speedup of the shift-invert path over the dense eigensolve.
@@ -96,14 +98,28 @@ struct MeshResult {
   std::size_t free_dofs = 0;
   std::size_t nonzeros = 0;
   double assembly_ms = 0.0;     ///< DofMap + element scatter + CSR build
-  double dense_modal_ms = 0.0;  ///< full-spectrum Jacobi on the dense pencil
+  double dense_modal_ms = 0.0;  ///< full-spectrum QL on the dense pencil
   std::vector<ThreadTiming> timings;
 };
+
+/// `git describe --always --dirty` of the source tree, or "unknown".
+std::string source_commit() {
+  std::string out;
+  if (FILE* pipe = popen("git -C '" AEROPACK_SOURCE_DIR "' describe --always --dirty 2>/dev/null",
+                         "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+    pclose(pipe);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
 
 void write_json(const std::string& path, std::size_t hardware, std::size_t n_modes,
                 const std::vector<std::size_t>& thread_counts,
                 const std::vector<double>& dispatch_ns,
                 const std::vector<MeshResult>& meshes) {
+  const std::string commit = source_commit();  // before the write dirties the tree
   std::ofstream out(path);
   if (!out) {
     std::printf("  (could not write %s)\n", path.c_str());
@@ -111,6 +127,9 @@ void write_json(const std::string& path, std::size_t hardware, std::size_t n_mod
   }
   out << "{\n  \"bench\": \"fem_assembly\",\n";
   out << "  \"hardware_threads\": " << hardware << ",\n";
+  out << "  \"build_type\": \"" << AEROPACK_BUILD_TYPE << "\",\n";
+  out << "  \"compiler\": \"" << AEROPACK_COMPILER << "\",\n";
+  out << "  \"commit\": \"" << commit << "\",\n";
   out << "  \"n_modes\": " << n_modes << ",\n";
   out << "  \"dispatch_overhead_ns\": [";
   for (std::size_t i = 0; i < thread_counts.size(); ++i)
@@ -167,7 +186,7 @@ int main(int argc, char** argv) try {
 
   std::printf("\n================================================================\n");
   std::printf("BENCH-FEM-ASSEMBLY — DofMap/SparseAssembler + sparse modal path\n");
-  std::printf("CSR assembly / dense Jacobi / shift-invert vs mesh and threads\n");
+  std::printf("CSR assembly / dense QL / shift-invert vs mesh and threads\n");
   std::printf("================================================================\n");
 
   const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
@@ -258,7 +277,7 @@ int main(int argc, char** argv) try {
   double best_sparse = 1e300;
   for (const ThreadTiming& tt : big.timings) best_sparse = std::min(best_sparse, tt.sparse_modal_ms);
   std::printf("  headline: %zux%zu (%zu free dofs) sparse shift-invert %.2fx faster than "
-              "dense Jacobi (best thread count)\n\n",
+              "dense QL (best thread count)\n\n",
               big.nx, big.ny, big.free_dofs,
               best_sparse > 0.0 ? big.dense_modal_ms / best_sparse : 0.0);
 
