@@ -1,15 +1,11 @@
-// BENCH-FEM-ASSEMBLY — shared DofMap/SparseAssembler layer + sparse modal path.
+// BENCH-FEM-ASSEMBLY — shared DofMap/SparseAssembler layer + modal path.
 //
 // Sweeps the Fig. 2 power-supply board across mesh refinements and thread
-// counts, timing the CSR assembly (DofMap + triplet scatter + build), the
-// dense generalized eigensolve (Cholesky reduction, Householder + QL), and
-// the sparse shift-invert subspace iteration. Emits BENCH_fem_assembly.json
+// counts, timing the CSR assembly (DofMap + triplet scatter + build) and
+// the shift-invert modal solve. Emits BENCH_fem_assembly.json
 // (machine-readable, with the hardware threads, build type, compiler and
 // source commit it was recorded with) so later changes can track the perf
 // trajectory, plus the usual table on stdout.
-//
-// Headline numbers: the dense-vs-sparse crossover mesh, and the finest-mesh
-// speedup of the shift-invert path over the dense eigensolve.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -39,9 +35,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Median-of-reps wall time of fn() in milliseconds. Medians (not best-of)
-/// because the table's dense/sparse and cross-thread columns are ratios of
-/// two timings: a lucky best-of outlier in either operand made them noise.
-/// Callers pass reps >= 5.
+/// because the table's cross-thread columns are compared with one another:
+/// a lucky best-of outlier in either operand made them noise. Callers pass
+/// reps >= 5.
 template <typename Fn>
 double time_ms(int reps, Fn&& fn) {
   std::vector<double> samples;
@@ -97,8 +93,7 @@ struct MeshResult {
   std::size_t ny = 0;
   std::size_t free_dofs = 0;
   std::size_t nonzeros = 0;
-  double assembly_ms = 0.0;     ///< DofMap + element scatter + CSR build
-  double dense_modal_ms = 0.0;  ///< full-spectrum QL on the dense pencil
+  double assembly_ms = 0.0;  ///< DofMap + element scatter + CSR build
   std::vector<ThreadTiming> timings;
 };
 
@@ -143,15 +138,12 @@ void write_json(const std::string& path, std::size_t hardware, std::size_t n_mod
     const MeshResult& r = meshes[g];
     out << "    {\n      \"nx\": " << r.nx << ", \"ny\": " << r.ny
         << ", \"free_dofs\": " << r.free_dofs << ", \"nonzeros\": " << r.nonzeros << ",\n";
-    out << "      \"assembly_ms\": " << r.assembly_ms
-        << ", \"dense_modal_ms\": " << r.dense_modal_ms << ",\n";
+    out << "      \"assembly_ms\": " << r.assembly_ms << ",\n";
     out << "      \"threads\": [\n";
     for (std::size_t t = 0; t < r.timings.size(); ++t) {
       const ThreadTiming& tt = r.timings[t];
       out << "        {\"threads\": " << tt.threads
-          << ", \"sparse_modal_ms\": " << tt.sparse_modal_ms
-          << ", \"dense_over_sparse\": "
-          << (tt.sparse_modal_ms > 0.0 ? r.dense_modal_ms / tt.sparse_modal_ms : 0.0) << "}"
+          << ", \"sparse_modal_ms\": " << tt.sparse_modal_ms << "}"
           << (t + 1 < r.timings.size() ? ",\n" : "\n");
     }
     out << "      ]\n    }" << (g + 1 < meshes.size() ? ",\n" : "\n");
@@ -185,8 +177,8 @@ int main(int argc, char** argv) try {
   if (!report_path.empty()) obs::enable();
 
   std::printf("\n================================================================\n");
-  std::printf("BENCH-FEM-ASSEMBLY — DofMap/SparseAssembler + sparse modal path\n");
-  std::printf("CSR assembly / dense QL / shift-invert vs mesh and threads\n");
+  std::printf("BENCH-FEM-ASSEMBLY — DofMap/SparseAssembler + modal path\n");
+  std::printf("CSR assembly / shift-invert modal solve vs mesh and threads\n");
   std::printf("================================================================\n");
 
   const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
@@ -227,59 +219,33 @@ int main(int argc, char** argv) try {
     res.free_dofs = k.rows();
     res.nonzeros = k.nonzeros();
 
-    af::ModalOptions dense_opts;
-    dense_opts.n_modes = n_modes;
-    dense_opts.path = af::ModalPath::Dense;
-    res.dense_modal_ms = time_ms(reps, [&] {
-      const auto modes = plate.solve_modal(dense_opts);
-      (void)modes;
-    });
-
-    af::ModalOptions sparse_opts;
-    sparse_opts.n_modes = n_modes;
-    sparse_opts.path = af::ModalPath::Sparse;
+    af::ModalOptions opts;
+    opts.n_modes = n_modes;
     for (const std::size_t t : thread_counts) {
       an::set_thread_count(t);
       ThreadTiming tt;
       tt.threads = t;
       tt.sparse_modal_ms = time_ms(reps, [&] {
-        const auto modes = plate.solve_modal(sparse_opts);
+        const auto modes = plate.solve_modal(opts);
         (void)modes;
       });
       res.timings.push_back(tt);
     }
     results.push_back(res);
     std::printf("  %2zux%-2zu (%4zu free dofs, %7zu nnz): assembly %7.3f ms, "
-                "dense %9.3f ms, sparse@1t %8.3f ms\n",
-                nx, ny, res.free_dofs, res.nonzeros, res.assembly_ms, res.dense_modal_ms,
+                "modal@1t %8.3f ms\n",
+                nx, ny, res.free_dofs, res.nonzeros, res.assembly_ms,
                 res.timings.front().sparse_modal_ms);
   }
   an::set_thread_count(0);
 
-  std::printf("\n  %-8s | %-9s | %-8s | %-12s | %-12s | %-10s\n", "mesh", "free dof", "threads",
-              "dense [ms]", "sparse [ms]", "dense/sparse");
-  std::printf("  ---------+-----------+----------+--------------+--------------+------------\n");
+  std::printf("\n  %-8s | %-9s | %-8s | %-12s\n", "mesh", "free dof", "threads", "modal [ms]");
+  std::printf("  ---------+-----------+----------+-------------\n");
   for (const MeshResult& r : results)
     for (const ThreadTiming& tt : r.timings)
-      std::printf("  %2zux%-5zu | %9zu | %8zu | %12.3f | %12.3f | %9.2fx\n", r.nx, r.ny,
-                  r.free_dofs, tt.threads, r.dense_modal_ms, tt.sparse_modal_ms,
-                  tt.sparse_modal_ms > 0.0 ? r.dense_modal_ms / tt.sparse_modal_ms : 0.0);
-
-  // Crossover: the coarsest mesh where shift-invert already beats dense.
-  for (const MeshResult& r : results) {
-    if (r.dense_modal_ms > r.timings.front().sparse_modal_ms) {
-      std::printf("\n  headline: dense/sparse crossover at %zux%zu (%zu free dofs)\n", r.nx,
-                  r.ny, r.free_dofs);
-      break;
-    }
-  }
-  const MeshResult& big = results.back();
-  double best_sparse = 1e300;
-  for (const ThreadTiming& tt : big.timings) best_sparse = std::min(best_sparse, tt.sparse_modal_ms);
-  std::printf("  headline: %zux%zu (%zu free dofs) sparse shift-invert %.2fx faster than "
-              "dense QL (best thread count)\n\n",
-              big.nx, big.ny, big.free_dofs,
-              best_sparse > 0.0 ? big.dense_modal_ms / best_sparse : 0.0);
+      std::printf("  %2zux%-5zu | %9zu | %8zu | %12.3f\n", r.nx, r.ny, r.free_dofs, tt.threads,
+                  tt.sparse_modal_ms);
+  std::printf("\n");
 
   write_json("BENCH_fem_assembly.json", hardware, n_modes, thread_counts, dispatch_ns, results);
 

@@ -223,10 +223,8 @@ std::size_t Frame3D::global_dof(std::size_t node, std::size_t dof) const {
   return node * 6 + dof;
 }
 
-void Frame3D::assemble_csr(const DofMap* map, CsrMatrix& k, CsrMatrix& m) const {
-  if (dof_count() == 0) throw std::logic_error("Frame3D: empty model");
-  const std::size_t n = map ? map->free_count() : dof_count();
-  if (n == 0) throw std::logic_error("Frame3D: all DOFs fixed");
+void Frame3D::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) const {
+  const std::size_t n = map.free_count();
   SparseAssembler ka(n, n), ma(n, n);
   ka.reserve(144 * beams_.size() + n);
   ma.reserve(144 * beams_.size() + 3 * masses_.size() + n);
@@ -244,13 +242,13 @@ void Frame3D::assemble_csr(const DofMap* map, CsrMatrix& k, CsrMatrix& m) const 
       dofs[d] = b.n1 * 6 + d;
       dofs[6 + d] = b.n2 * 6 + d;
     }
-    if (map) dofs = map->map_dofs(dofs);
+    dofs = map.map_dofs(dofs);
     ka.scatter(dofs, ke);
     ma.scatter(dofs, me);
   }
   for (const auto& [node, mass] : masses_)
     for (std::size_t d = 0; d < 3; ++d) {
-      const std::size_t g = map ? map->to_free(node * 6 + d) : node * 6 + d;
+      const std::size_t g = map.to_free(node * 6 + d);
       if (g != DofMap::kFixed) ma.add(g, g, mass);
     }
   // Explicit structural diagonal (zero-valued; sums unchanged) so the
@@ -274,29 +272,17 @@ DofMap Frame3D::dof_map() const {
 
 void Frame3D::reduced_sparse(CsrMatrix& k, CsrMatrix& m) const {
   const DofMap map = dof_map();
-  assemble_csr(&map, k, m);
+  assemble_csr(map, k, m);
   // Guard against massless DOFs (rotations of a lumped-mass-only node):
   // a tiny inertia keeps M positive definite.
   clamp_massless_diagonal(m);
-}
-
-Matrix Frame3D::stiffness_matrix() const {
-  CsrMatrix k, m;
-  assemble_csr(nullptr, k, m);
-  return k.to_dense();
-}
-
-Matrix Frame3D::mass_matrix() const {
-  CsrMatrix k, m;
-  assemble_csr(nullptr, k, m);
-  return m.to_dense();
 }
 
 Vector Frame3D::solve_static(const Vector& loads) const {
   if (loads.size() != dof_count()) throw std::invalid_argument("solve_static: load size");
   const DofMap dmap = dof_map();
   CsrMatrix k, m;
-  assemble_csr(&dmap, k, m);
+  assemble_csr(dmap, k, m);
   const Vector f = dmap.reduce(loads);
   const Vector u = numeric::solve(k.to_dense(), f);
   return dmap.expand(u);

@@ -54,13 +54,10 @@ class Frame3D {
   std::size_t dof_count() const { return coords_.size() * 6; }
   std::size_t global_dof(std::size_t node, std::size_t dof) const;
 
-  numeric::Matrix stiffness_matrix() const;
-  numeric::Matrix mass_matrix() const;
-
   /// Static displacement under a full-DOF load vector.
   numeric::Vector solve_static(const numeric::Vector& loads) const;
-  /// Natural frequencies [Hz], ascending. `opts` picks the dense/sparse
-  /// eigensolver path and bounds the returned mode count.
+  /// Natural frequencies [Hz], ascending. `opts` bounds the returned mode
+  /// count (default: the lowest min(16, free DOFs); see fem/modal.hpp).
   numeric::Vector natural_frequencies(const ModalOptions& opts = {}) const;
 
   /// Constraint map built from fix()/fix_all() calls.
@@ -81,9 +78,9 @@ class Frame3D {
     materials::SolidMaterial mat;
     Section3D section;
   };
-  /// Scatter all elements into sparse assemblers. `map` == nullptr
-  /// assembles full-DOF; otherwise fixed DOFs are dropped.
-  void assemble_csr(const DofMap* map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
+  /// Scatter all elements into sparse assemblers, dropping the DOFs `map`
+  /// fixes.
+  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
   void check_node(std::size_t n) const;
 
   std::vector<Coord> coords_;

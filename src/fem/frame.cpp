@@ -83,10 +83,8 @@ DofMap FrameModel::dof_map() const {
   return map;
 }
 
-void FrameModel::assemble_csr(const DofMap* map, CsrMatrix& k, CsrMatrix& m) const {
-  const std::size_t n = map ? map->free_count() : dof_count();
-  if (dof_count() == 0) throw std::logic_error("FrameModel: empty model");
-  if (n == 0) throw std::logic_error("FrameModel: all DOFs fixed");
+void FrameModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) const {
+  const std::size_t n = map.free_count();
   SparseAssembler ka(n, n), ma(n, n);
   ka.reserve(36 * beams_.size() + 4 * springs_.size() + n);
   ma.reserve(36 * beams_.size() + 3 * masses_.size() + n);
@@ -102,17 +100,16 @@ void FrameModel::assemble_csr(const DofMap* map, CsrMatrix& k, CsrMatrix& m) con
     const Matrix me = t.transposed() * beam_mass_local(b.rho, b.section, l) * t;
     dofs = {global_dof(b.n1, Dof::Ux), global_dof(b.n1, Dof::Uy), global_dof(b.n1, Dof::Rz),
             global_dof(b.n2, Dof::Ux), global_dof(b.n2, Dof::Uy), global_dof(b.n2, Dof::Rz)};
-    if (map) dofs = map->map_dofs(dofs);
+    dofs = map.map_dofs(dofs);
     ka.scatter(dofs, ke);
     ma.scatter(dofs, me);
   }
-  auto mapped = [&](std::size_t full) { return map ? map->to_free(full) : full; };
   for (const Spring& s : springs_) {
-    const std::size_t a = mapped(global_dof(s.n1, s.dof));
+    const std::size_t a = map.to_free(global_dof(s.n1, s.dof));
     if (s.n2 == kGround) {
       if (a != DofMap::kFixed) ka.add(a, a, s.k);
     } else {
-      const std::size_t b = mapped(global_dof(s.n2, s.dof));
+      const std::size_t b = map.to_free(global_dof(s.n2, s.dof));
       if (a != DofMap::kFixed) ka.add(a, a, s.k);
       if (b != DofMap::kFixed) ka.add(b, b, s.k);
       if (a != DofMap::kFixed && b != DofMap::kFixed) {
@@ -122,9 +119,9 @@ void FrameModel::assemble_csr(const DofMap* map, CsrMatrix& k, CsrMatrix& m) con
     }
   }
   for (const PointMass& pm : masses_) {
-    const std::size_t ux = mapped(global_dof(pm.node, Dof::Ux));
-    const std::size_t uy = mapped(global_dof(pm.node, Dof::Uy));
-    const std::size_t rz = mapped(global_dof(pm.node, Dof::Rz));
+    const std::size_t ux = map.to_free(global_dof(pm.node, Dof::Ux));
+    const std::size_t uy = map.to_free(global_dof(pm.node, Dof::Uy));
+    const std::size_t rz = map.to_free(global_dof(pm.node, Dof::Rz));
     if (ux != DofMap::kFixed) ma.add(ux, ux, pm.mass);
     if (uy != DofMap::kFixed) ma.add(uy, uy, pm.mass);
     if (rz != DofMap::kFixed) ma.add(rz, rz, pm.inertia);
@@ -140,21 +137,9 @@ void FrameModel::assemble_csr(const DofMap* map, CsrMatrix& k, CsrMatrix& m) con
   m = ma.finalize();
 }
 
-Matrix FrameModel::stiffness_matrix() const {
-  CsrMatrix k, m;
-  assemble_csr(nullptr, k, m);
-  return k.to_dense();
-}
-
-Matrix FrameModel::mass_matrix() const {
-  CsrMatrix k, m;
-  assemble_csr(nullptr, k, m);
-  return m.to_dense();
-}
-
 void FrameModel::reduced_sparse(CsrMatrix& k, CsrMatrix& m) const {
   const DofMap map = dof_map();
-  assemble_csr(&map, k, m);
+  assemble_csr(map, k, m);
   // Guard against massless DOFs (e.g. rotation of a node carried only by
   // springs): add a tiny inertia so M stays positive definite.
   clamp_massless_diagonal(m);

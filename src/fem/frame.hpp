@@ -1,8 +1,8 @@
 // Planar frame structural model: beams, lumped masses, grounded and
-// inter-node springs, point constraints. Assembles dense K / M (the models
-// this toolkit builds are small — equipment brackets, isolated chassis,
-// card-edge supports), then exposes static, modal, harmonic and
-// random-vibration analyses via the companion headers.
+// inter-node springs, point constraints. Assembles the reduced sparse K / M
+// pencil (the models this toolkit builds are small — equipment brackets,
+// isolated chassis, card-edge supports), then exposes static, modal,
+// harmonic and random-vibration analyses via the companion headers.
 #pragma once
 
 #include <cstddef>
@@ -52,17 +52,14 @@ class FrameModel {
   std::size_t free_dof_count() const;
   std::size_t global_dof(std::size_t node, Dof dof) const;
 
-  /// Assembled full matrices (before constraint elimination). For tests.
-  numeric::Matrix stiffness_matrix() const;
-  numeric::Matrix mass_matrix() const;
-
   /// Static solve under nodal loads (full-DOF load vector); returns the
   /// full-DOF displacement vector (zeros at fixed DOFs).
   numeric::Vector solve_static(const numeric::Vector& loads) const;
 
   /// Modal analysis. `excitation` is the unit base-acceleration direction
-  /// used for participation factors (e.g. {1, 0} = x shake). `opts` picks
-  /// the dense/sparse eigensolver path and bounds the returned mode count.
+  /// used for participation factors (e.g. {1, 0} = x shake). `opts` bounds
+  /// the returned mode count (default: the lowest min(16, free DOFs); see
+  /// fem/modal.hpp).
   ModalResult solve_modal(double ex_x = 0.0, double ex_y = 1.0,
                           const ModalOptions& opts = {}) const;
 
@@ -108,9 +105,8 @@ class FrameModel {
 
   void check_node(std::size_t n) const;
   /// Scatter all elements (beams, springs, lumped masses) into sparse
-  /// assemblers. `map` == nullptr assembles in full-DOF numbering; otherwise
-  /// fixed DOFs are discarded and the result is the reduced pencil.
-  void assemble_csr(const DofMap* map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
+  /// assemblers, discarding the DOFs `map` fixes: the reduced pencil.
+  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
 
   std::vector<Node> nodes_;
   std::vector<Beam> beams_;

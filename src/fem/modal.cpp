@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "numeric/eigen.hpp"
 #include "obs/registry.hpp"
@@ -27,61 +29,13 @@ void clamp_massless_diagonal(CsrMatrix& m, double epsilon) {
   }
 }
 
-ReducedModes solve_reduced_modes(const CsrMatrix& k, const CsrMatrix& m,
-                                 const ModalOptions& opts) {
-  if (k.rows() != k.cols() || m.rows() != m.cols() || k.rows() != m.rows())
-    throw std::invalid_argument("solve_reduced_modes: shape mismatch");
-  const std::size_t n = k.rows();
-  if (n == 0) throw std::invalid_argument("solve_reduced_modes: empty system");
-
-  bool dense = true;
-  switch (opts.path) {
-    case ModalPath::Dense: dense = true; break;
-    case ModalPath::Sparse: dense = false; break;
-    case ModalPath::Auto: dense = n <= opts.dense_threshold; break;
-  }
-
-  static thread_local obs::CounterHandle modal_solves{"fem.modal_solves"};
-  static thread_local obs::CounterHandle dense_solves{"fem.modal_dense"};
-  static thread_local obs::CounterHandle sparse_solves{"fem.modal_sparse"};
-  modal_solves.add();
-  (dense ? dense_solves : sparse_solves).add();
-  if (obs::enabled())
-    obs::current().gauge("fem.free_dofs").set(static_cast<double>(n));
-  obs::ScopedTimer span(dense ? "fem.modal_dense" : "fem.modal_sparse");
-
-  ReducedModes res;
-  if (dense) {
-    const numeric::EigenResult eig = numeric::eigen_generalized(k.to_dense(), m.to_dense());
-    const std::size_t nm = (opts.n_modes == 0) ? n : std::min(opts.n_modes, n);
-    res.eigenvalues.assign(eig.eigenvalues.begin(),
-                           eig.eigenvalues.begin() + static_cast<std::ptrdiff_t>(nm));
-    if (nm == n) {
-      res.shapes = eig.eigenvectors;
-    } else {
-      res.shapes = Matrix(n, nm);
-      for (std::size_t j = 0; j < nm; ++j)
-        for (std::size_t i = 0; i < n; ++i) res.shapes(i, j) = eig.eigenvectors(i, j);
-    }
-  } else {
-    const std::size_t nm =
-        (opts.n_modes == 0) ? std::min<std::size_t>(16, n) : std::min(opts.n_modes, n);
-    numeric::SparseEigenOptions seo;
-    seo.shift = opts.shift;
-    const numeric::EigenResult eig = numeric::eigen_generalized_sparse(k, m, nm, seo);
-    res.eigenvalues = eig.eigenvalues;
-    res.shapes = eig.eigenvectors;
-    res.used_sparse = true;
-  }
-  res.frequencies_hz = numeric::natural_frequencies_hz(res.eigenvalues);
-  return res;
-}
-
-std::size_t ModalFactorization::cost_bytes() const {
-  return sizeof(ModalFactorization) + (op ? op->cost_bytes() : 0);
-}
-
 namespace {
+
+void check_modal_pencil(const CsrMatrix& k, const CsrMatrix& m, const char* who) {
+  if (k.rows() != k.cols() || m.rows() != m.cols() || k.rows() != m.rows())
+    throw std::invalid_argument(std::string(who) + ": shape mismatch");
+  if (k.rows() == 0) throw std::invalid_argument(std::string(who) + ": empty system");
+}
 
 numeric::SparseEigenOptions sparse_options(const ModalOptions& opts) {
   numeric::SparseEigenOptions seo;
@@ -89,17 +43,45 @@ numeric::SparseEigenOptions sparse_options(const ModalOptions& opts) {
   return seo;
 }
 
-void check_modal_pencil(const CsrMatrix& k, const CsrMatrix& m) {
-  if (k.rows() != k.cols() || m.rows() != m.cols() || k.rows() != m.rows())
-    throw std::invalid_argument("factorize_modal: shape mismatch");
-  if (k.rows() == 0) throw std::invalid_argument("factorize_modal: empty system");
+/// The one body of the cold (`cached` null) and cached solves.
+ReducedModes solve_modes(const CsrMatrix& k, const CsrMatrix& m, const ModalOptions& opts,
+                         const numeric::ShiftedFactorization* cached) {
+  const std::size_t n = k.rows();
+  static thread_local obs::CounterHandle modal_solves{"fem.modal_solves"};
+  static thread_local obs::CounterHandle sparse_solves{"fem.modal_sparse"};
+  modal_solves.add();
+  sparse_solves.add();
+  if (obs::enabled())
+    obs::current().gauge("fem.free_dofs").set(static_cast<double>(n));
+  obs::ScopedTimer span("fem.modal_sparse");
+
+  const std::size_t nm =
+      (opts.n_modes == 0) ? std::min<std::size_t>(16, n) : std::min(opts.n_modes, n);
+  numeric::EigenResult eig =
+      cached ? numeric::eigen_generalized_sparse(k, m, nm, sparse_options(opts), *cached)
+             : numeric::eigen_generalized_sparse(k, m, nm, sparse_options(opts));
+  ReducedModes res;
+  res.eigenvalues = std::move(eig.eigenvalues);
+  res.shapes = std::move(eig.eigenvectors);
+  res.frequencies_hz = numeric::natural_frequencies_hz(res.eigenvalues);
+  return res;
 }
 
 }  // namespace
 
+ReducedModes solve_reduced_modes(const CsrMatrix& k, const CsrMatrix& m,
+                                 const ModalOptions& opts) {
+  check_modal_pencil(k, m, "solve_reduced_modes");
+  return solve_modes(k, m, opts, nullptr);
+}
+
+std::size_t ModalFactorization::cost_bytes() const {
+  return sizeof(ModalFactorization) + (op ? op->cost_bytes() : 0);
+}
+
 ModalFactorization factorize_modal(const CsrMatrix& k, const CsrMatrix& m,
                                    const ModalOptions& opts) {
-  check_modal_pencil(k, m);
+  check_modal_pencil(k, m, "factorize_modal");
   static thread_local obs::CounterHandle factorizations{"fem.modal_factorizations"};
   factorizations.add();
   ModalFactorization f;
@@ -113,34 +95,15 @@ ModalFactorization factorize_modal(const CsrMatrix& k, const CsrMatrix& m,
 
 ReducedModes solve_reduced_modes(const CsrMatrix& k, const CsrMatrix& m,
                                  const ModalOptions& opts, const ModalFactorization& cached) {
-  check_modal_pencil(k, m);
-  const std::size_t n = k.rows();
-  if (!cached.op || cached.rows != n)
+  check_modal_pencil(k, m, "solve_reduced_modes");
+  if (!cached.op || cached.rows != k.rows())
     throw std::invalid_argument(
         "solve_reduced_modes: cached factorization does not match the pencil size");
   if (cached.shift != opts.shift)
     throw std::invalid_argument(
         "solve_reduced_modes: cached factorization was built for a different shift "
         "(bit-identity with the cold path would not hold)");
-
-  static thread_local obs::CounterHandle modal_solves{"fem.modal_solves"};
-  static thread_local obs::CounterHandle sparse_solves{"fem.modal_sparse"};
-  modal_solves.add();
-  sparse_solves.add();
-  if (obs::enabled())
-    obs::current().gauge("fem.free_dofs").set(static_cast<double>(n));
-  obs::ScopedTimer span("fem.modal_sparse");
-
-  ReducedModes res;
-  const std::size_t nm =
-      (opts.n_modes == 0) ? std::min<std::size_t>(16, n) : std::min(opts.n_modes, n);
-  const numeric::EigenResult eig =
-      numeric::eigen_generalized_sparse(k, m, nm, sparse_options(opts), *cached.op);
-  res.eigenvalues = eig.eigenvalues;
-  res.shapes = eig.eigenvectors;
-  res.used_sparse = true;
-  res.frequencies_hz = numeric::natural_frequencies_hz(res.eigenvalues);
-  return res;
+  return solve_modes(k, m, opts, cached.op.get());
 }
 
 }  // namespace aeropack::fem

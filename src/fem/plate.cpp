@@ -22,12 +22,6 @@ using numeric::Matrix;
 using numeric::SparseAssembler;
 using numeric::Vector;
 
-namespace {
-/// Free-DOF count at or below which static solves densify and use the
-/// pivoted LU (mirrors ModalOptions::dense_threshold for the modal path).
-constexpr std::size_t kDenseStaticThreshold = 360;
-}  // namespace
-
 double plate_rigidity(const materials::SolidMaterial& m, double thickness) {
   if (thickness <= 0.0) throw std::invalid_argument("plate_rigidity: thickness must be > 0");
   return m.youngs_modulus * thickness * thickness * thickness /
@@ -205,9 +199,8 @@ double PlateModel::total_mass() const {
   return m;
 }
 
-void PlateModel::assemble_csr(const DofMap* map, CsrMatrix& k, CsrMatrix& m) const {
-  const std::size_t n = map ? map->free_count() : dof_count();
-  if (n == 0) throw std::logic_error("PlateModel: all DOFs fixed");
+void PlateModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) const {
+  const std::size_t n = map.free_count();
   SparseAssembler ka(n, n), ma(n, n);
   ka.reserve(144 * nx_ * ny_ + n);
   ma.reserve(144 * nx_ * ny_ + point_masses_.size() + n);
@@ -245,13 +238,13 @@ void PlateModel::assemble_csr(const DofMap* map, CsrMatrix& k, CsrMatrix& m) con
       const std::size_t nodes[4] = {node_index(ei, ej), node_index(ei + 1, ej),
                                     node_index(ei + 1, ej + 1), node_index(ei, ej + 1)};
       for (std::size_t i = 0; i < 12; ++i) dofs[i] = 3 * nodes[i / 3] + i % 3;
-      if (map) dofs = map->map_dofs(dofs);
+      dofs = map.map_dofs(dofs);
       ka.scatter(dofs, it->second.first);
       ma.scatter(dofs, it->second.second);
     }
 
   for (const auto& [node, mass] : point_masses_) {
-    const std::size_t w = map ? map->to_free(3 * node) : 3 * node;
+    const std::size_t w = map.to_free(3 * node);
     if (w != DofMap::kFixed) ma.add(w, w, mass);
   }
   // Explicit structural diagonal (zero-valued; sums unchanged) so the
@@ -290,13 +283,13 @@ DofMap PlateModel::dof_map() const {
 
 void PlateModel::reduced_sparse(CsrMatrix& k, CsrMatrix& m) const {
   const DofMap map = dof_map();
-  assemble_csr(&map, k, m);
+  assemble_csr(map, k, m);
 }
 
 PlateModalResult PlateModel::solve_modal(const ModalOptions& opts) const {
   const DofMap dmap = dof_map();
   CsrMatrix k, m;
-  assemble_csr(&dmap, k, m);
+  assemble_csr(dmap, k, m);
   const ReducedModes modes = solve_reduced_modes(k, m, opts);
   const std::size_t nr = dmap.free_count();
   const std::size_t nm = modes.eigenvalues.size();
@@ -325,7 +318,7 @@ PlateModalResult PlateModel::solve_modal(const ModalOptions& opts) const {
 numeric::Vector PlateModel::solve_static_pressure(double pressure) const {
   const DofMap dmap = dof_map();
   CsrMatrix k, m;
-  assemble_csr(&dmap, k, m);
+  assemble_csr(dmap, k, m);
 
   // Consistent load: lump the pressure tributary area onto the w DOFs
   // (exact for uniform meshes to the order of the element).
@@ -341,20 +334,16 @@ numeric::Vector PlateModel::solve_static_pressure(double pressure) const {
   const Vector fr = dmap.reduce(f);
 
   Vector u;
-  if (dmap.free_count() <= kDenseStaticThreshold) {
-    u = numeric::solve(k.to_dense(), fr);
-  } else {
-    try {
-      u = numeric::SkylineCholesky(k).solve(fr);
-    } catch (const std::length_error&) {
-      numeric::IterativeOptions io;
-      io.tolerance = 1e-12;
-      io.max_iterations = std::max<std::size_t>(10000, 20 * fr.size());
-      const numeric::IterativeResult res = numeric::conjugate_gradient(k, fr, io);
-      if (!res.converged)
-        throw std::runtime_error("PlateModel::solve_static_pressure: CG did not converge");
-      u = res.x;
-    }
+  try {
+    u = numeric::SkylineCholesky(k).solve(fr);
+  } catch (const std::length_error&) {
+    numeric::IterativeOptions io;
+    io.tolerance = 1e-12;
+    io.max_iterations = std::max<std::size_t>(10000, 20 * fr.size());
+    numeric::IterativeResult res = numeric::conjugate_gradient(k, fr, io);
+    if (!res.converged)
+      throw std::runtime_error("PlateModel::solve_static_pressure: CG did not converge");
+    u = std::move(res.x);
   }
   return dmap.expand(u);
 }

@@ -65,9 +65,8 @@ class PlateModel {
   /// Node nearest a physical location.
   std::size_t nearest_node(double x, double y) const;
 
-  /// Modal analysis on the free DOFs. `opts` picks the dense/sparse
-  /// eigensolver path and bounds the returned mode count (default: every
-  /// mode on the dense path, lowest 16 on the sparse path).
+  /// Modal analysis on the free DOFs. `opts` bounds the returned mode count
+  /// (default: the lowest min(16, free DOFs); see fem/modal.hpp).
   PlateModalResult solve_modal(const ModalOptions& opts = {}) const;
 
   /// Fundamental frequency [Hz].
@@ -79,7 +78,8 @@ class PlateModel {
   void reduced_sparse(numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
 
   /// Static deflection field under a uniform lateral pressure [Pa]
-  /// (positive = +w). Returns the full-DOF displacement vector.
+  /// (positive = +w): skyline Cholesky on the reduced stiffness, CG when
+  /// its envelope is over budget. Returns the full-DOF displacement vector.
   numeric::Vector solve_static_pressure(double pressure) const;
   /// Peak |w| under a quasi-static `n_g` lateral acceleration acting on the
   /// plate's own (structural + smeared + point) mass. [m]
@@ -97,9 +97,9 @@ class PlateModel {
   double total_mass() const;
 
  private:
-  /// Scatter all plate elements and point masses into sparse assemblers.
-  /// `map` == nullptr assembles full-DOF; otherwise fixed DOFs are dropped.
-  void assemble_csr(const DofMap* map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
+  /// Scatter all plate elements and point masses into sparse assemblers,
+  /// dropping the DOFs `map` fixes.
+  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
 
   double lx_, ly_, thickness_;
   materials::SolidMaterial material_;

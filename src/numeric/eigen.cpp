@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "numeric/parallel.hpp"
 #include "numeric/solve_dense.hpp"
 #include "numeric/sparse_cholesky.hpp"
 #include "obs/registry.hpp"
@@ -384,10 +383,8 @@ EigenResult leading_pairs(const Vector& eigenvalues, const double* vectors, std:
   return res;
 }
 
-/// The subspace iteration itself, on an already-built shift-invert operator.
-/// No instrumentation of its own beyond the per-sweep counter: the public
-/// overloads own the solve counter and timer span so the factorizing and
-/// cache-hit paths report identically shaped telemetry.
+/// The subspace iteration itself, width q, on an already-built shift-invert
+/// operator.
 ///
 /// Every block is n x q row-major (entry i of column c at i * q + c), the
 /// layout of CsrMatrix::multiply_block and SkylineCholesky::solve_block,
@@ -395,21 +392,13 @@ EigenResult leading_pairs(const Vector& eigenvalues, const double* vectors, std:
 /// loops in a fixed order, so the result does not depend on the thread
 /// count; the block SpMV is row-partitioned.
 EigenResult run_subspace_iteration(const CsrMatrix& k, const CsrMatrix& m,
-                                   std::size_t n_modes, const SparseEigenOptions& opts,
+                                   std::size_t n_modes, std::size_t q,
                                    const ShiftedFactorization& op) {
+  // Relative drift of the leading Ritz values that ends the iteration.
+  constexpr double kTolerance = 1e-12;
+  constexpr std::size_t kMaxIterations = 100;
   const std::size_t n = k.rows();
   static thread_local obs::CounterHandle sweeps{"numeric.eigen.subspace_iterations"};
-
-  const std::size_t q =
-      std::min(n, std::max(2 * n_modes, n_modes + opts.subspace_extra));
-  if (2 * q > n) {
-    // A block this wide spans most of the space, and a start block that
-    // wide leaves Y^T M Y numerically singular. One exact Rayleigh-Ritz
-    // pass on the identity block is the dense generalized solve.
-    sweeps.add();
-    const EigenResult full = eigen_generalized(k.to_dense(), m.to_dense());
-    return leading_pairs(full.eigenvalues, full.eigenvectors.data(), n, n, n_modes);
-  }
 
   std::vector<double> x = starting_block(n, q);
   std::vector<double> mx(n * q), y(n * q), my(n * q);
@@ -417,7 +406,7 @@ EigenResult run_subspace_iteration(const CsrMatrix& k, const CsrMatrix& m,
   Vector prev(n_modes, 0.0);
   EigenResult ritz;  // q x q Rayleigh-Ritz solution of the current subspace
 
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+  for (std::size_t it = 0; it < kMaxIterations; ++it) {
     sweeps.add();
     // Inverse-iterate the block: Y = (K - sigma*M)^-1 (M X), all q
     // right-hand sides in one pass over the factor.
@@ -469,9 +458,34 @@ EigenResult run_subspace_iteration(const CsrMatrix& k, const CsrMatrix& m,
       drift = std::max(drift, std::fabs(lam - prev[j]) / std::max(std::fabs(lam), 1e-30));
       prev[j] = lam;
     }
-    if (it > 0 && drift <= opts.tolerance) break;
+    if (it > 0 && drift <= kTolerance) break;
   }
   return leading_pairs(ritz.eigenvalues, x.data(), n, q, n_modes);
+}
+
+/// The one body of both public overloads. `cached` null factorizes K -
+/// sigma*M when the solve iterates. A subspace with 5q > n takes one exact
+/// Rayleigh-Ritz pass on the identity block instead, the dense generalized
+/// solve with no factorization: from 2q > n a generic start block leaves
+/// Y^T M Y numerically singular, and short of n = 5q iterating cost up to
+/// 1.3x the dense solve on plate pencils (a 96-DOF board at 12 modes,
+/// q = 24).
+EigenResult lowest_pairs(const CsrMatrix& k, const CsrMatrix& m, std::size_t n_modes,
+                         const SparseEigenOptions& opts, const ShiftedFactorization* cached) {
+  constexpr std::size_t kSubspaceExtra = 8;
+  static thread_local obs::CounterHandle solves{"numeric.eigen.sparse_solves"};
+  static thread_local obs::CounterHandle sweeps{"numeric.eigen.subspace_iterations"};
+  obs::ScopedTimer span("numeric.eigen_sparse");
+  solves.add();
+  const std::size_t n = k.rows();
+  const std::size_t q = std::min(n, std::max(2 * n_modes, n_modes + kSubspaceExtra));
+  if (5 * q > n) {
+    sweeps.add();
+    const EigenResult full = eigen_generalized(k.to_dense(), m.to_dense());
+    return leading_pairs(full.eigenvalues, full.eigenvectors.data(), n, n, n_modes);
+  }
+  if (cached) return run_subspace_iteration(k, m, n_modes, q, *cached);
+  return run_subspace_iteration(k, m, n_modes, q, factorize_shift_invert(k, m, opts));
 }
 
 }  // namespace
@@ -479,11 +493,7 @@ EigenResult run_subspace_iteration(const CsrMatrix& k, const CsrMatrix& m,
 EigenResult eigen_generalized_sparse(const CsrMatrix& k, const CsrMatrix& m,
                                      std::size_t n_modes, const SparseEigenOptions& opts) {
   check_sparse_eigen_shapes(k, m, n_modes);
-  static thread_local obs::CounterHandle solves{"numeric.eigen.sparse_solves"};
-  obs::ScopedTimer span("numeric.eigen_sparse");
-  solves.add();
-  const ShiftedFactorization op = factorize_shift_invert(k, m, opts);
-  return run_subspace_iteration(k, m, n_modes, opts, op);
+  return lowest_pairs(k, m, n_modes, opts, nullptr);
 }
 
 EigenResult eigen_generalized_sparse(const CsrMatrix& k, const CsrMatrix& m,
@@ -493,27 +503,7 @@ EigenResult eigen_generalized_sparse(const CsrMatrix& k, const CsrMatrix& m,
   if (op.matrix.rows() != k.rows() || op.matrix.cols() != k.cols())
     throw std::invalid_argument(
         "eigen_generalized_sparse: shifted factorization does not match the pencil size");
-  static thread_local obs::CounterHandle solves{"numeric.eigen.sparse_solves"};
-  obs::ScopedTimer span("numeric.eigen_sparse");
-  solves.add();
-  return run_subspace_iteration(k, m, n_modes, opts, op);
-}
-
-EigenResult eigen_generalized_sparse(ThreadPool& pool, const CsrMatrix& k,
-                                     const CsrMatrix& m, std::size_t n_modes,
-                                     const SparseEigenOptions& opts) {
-  // Bind `pool` as the calling thread's current pool for the duration, so
-  // every kernel in the iteration (SpMV, dots, axpys, the CG fallback) lands
-  // on it without threading a handle through each call site.
-  ThreadPool* const prev = exchange_current_pool(&pool);
-  try {
-    EigenResult res = eigen_generalized_sparse(k, m, n_modes, opts);
-    exchange_current_pool(prev);
-    return res;
-  } catch (...) {
-    exchange_current_pool(prev);
-    throw;
-  }
+  return lowest_pairs(k, m, n_modes, opts, &op);
 }
 
 Vector natural_frequencies_hz(const Vector& eigenvalues) {

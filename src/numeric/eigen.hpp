@@ -6,8 +6,8 @@
 // and diagonalize it with Householder tridiagonalization plus implicit QL
 // (Golub & Van Loan §8.3; EISPACK tred2/tql2): serial, deterministic, and
 // accurate to a few ulps of the largest eigenvalue. That one symmetric
-// solver serves the dense modal path, the Rayleigh-Ritz step of the sparse
-// subspace iteration and the ROM's POD.
+// solver serves the exact pass and the Rayleigh-Ritz step of the sparse
+// modal solve and the ROM's POD.
 #pragma once
 
 #include <cstddef>
@@ -41,11 +41,6 @@ struct SparseEigenOptions {
   /// 0 targets the lowest modes; if K - sigma*M is not positive definite the
   /// solver retries with negative shifts (K + |sigma|M is SPD for PSD K).
   double shift = 0.0;
-  /// Subspace width is min(n, max(2*n_modes, n_modes + subspace_extra)).
-  std::size_t subspace_extra = 8;
-  std::size_t max_iterations = 100;
-  /// Relative eigenvalue drift below which the iteration stops.
-  double tolerance = 1e-12;
   /// Envelope budget for the skyline factorization of K - sigma*M; when
   /// exceeded the solver falls back to conjugate gradients.
   std::size_t max_envelope = std::size_t{1} << 28;
@@ -91,35 +86,34 @@ ShiftedFactorization factorize_shift_invert(const CsrMatrix& k, const CsrMatrix&
                                             const SparseEigenOptions& opts = {});
 
 /// Lowest `n_modes` eigenpairs of K x = lambda M x for sparse symmetric K
-/// (positive semi-definite) and M (positive definite), via shift-invert
-/// subspace iteration with Rayleigh-Ritz projection. Eigenvectors are
-/// M-orthonormal. The iteration starts from a fixed-seed generic block,
+/// (positive semi-definite) and M (positive definite). Eigenvectors are
+/// M-orthonormal. The subspace width is q = min(n, max(2*n_modes,
+/// n_modes + 8)). When 5q > n the solve is one exact Rayleigh-Ritz pass on
+/// the identity block: the dense generalized solve, decided before any
+/// factorization, whose leading pairs it returns bit for bit. It succeeds
+/// for every mode count up to the DOF count and beats iterating on pencils
+/// that small. Otherwise it is shift-invert subspace iteration with
+/// Rayleigh-Ritz projection: it starts from a fixed-seed generic block,
 /// solves the whole block per pass (SkylineCholesky::solve_block) and forms
 /// Y^T K Y from the right-hand sides the solve just used, so it costs 2q
-/// SpMVs per pass for subspace width q. When 2q exceeds the DOF count it
-/// runs instead one exact Rayleigh-Ritz pass on the identity block, the
-/// dense generalized solve, so every mode count up to the DOF count
-/// succeeds. The inner factorization is a serial skyline Cholesky (CG
-/// fallback), the SpMV/dot kernels run on the deterministic parallel layer,
-/// so results are bit-identical across thread counts.
+/// SpMVs per pass, and stops once the leading Ritz values drift by at most
+/// 1e-12 relative (100 passes at most). The inner factorization is a serial
+/// skyline Cholesky (CG fallback), the SpMV/dot kernels run on the
+/// deterministic parallel layer, so results are bit-identical across thread
+/// counts.
 /// Throws std::invalid_argument on shape errors, std::domain_error if no
 /// trial shift yields a usable operator.
 EigenResult eigen_generalized_sparse(const CsrMatrix& k, const CsrMatrix& m,
                                      std::size_t n_modes,
                                      const SparseEigenOptions& opts = {});
-/// Same iteration on a pre-built (possibly cache-shared) factorization of
+/// Same solve on a pre-built (possibly cache-shared) factorization of
 /// exactly this (K, M, opts) combination. Bit-identical to the factorizing
 /// overload; performs no factorization work, so "numeric.skyline.*" counters
-/// stay untouched on a cache hit.
+/// stay untouched on a cache hit. The exact pass leaves `op` unused.
 /// Throws std::invalid_argument if `op` does not match the pencil's size.
 EigenResult eigen_generalized_sparse(const CsrMatrix& k, const CsrMatrix& m,
                                      std::size_t n_modes, const SparseEigenOptions& opts,
                                      const ShiftedFactorization& op);
-/// Same, with every parallel kernel pinned to `pool` (the pool-less overload
-/// runs on the calling thread's current pool).
-EigenResult eigen_generalized_sparse(ThreadPool& pool, const CsrMatrix& k,
-                                     const CsrMatrix& m, std::size_t n_modes,
-                                     const SparseEigenOptions& opts = {});
 
 /// Natural frequencies [Hz] from generalized stiffness/mass eigenvalues.
 /// Eigenvalues within a small tolerance of zero (rigid-body-mode noise)

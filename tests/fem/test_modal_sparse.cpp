@@ -1,7 +1,8 @@
-// Dense-vs-sparse modal equivalence on the plate stack: the shift-invert
-// subspace iteration must reproduce the dense Jacobi spectrum on both a
-// textbook simply-supported plate and the Fig. 2 power-supply board, and be
-// bit-identical across thread counts.
+// The modal path against the dense generalized solve: the shift-invert
+// subspace iteration must reproduce the dense spectrum on both a textbook
+// simply-supported plate and the Fig. 2 power-supply board and be
+// bit-identical across thread counts, and small frames and brackets take
+// the exact identity-block pass, bit for bit the dense solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,16 +10,21 @@
 #include <string>
 #include <vector>
 
+#include "exec/context.hpp"
 #include "fem/beam3d.hpp"
 #include "fem/frame.hpp"
 #include "fem/modal.hpp"
 #include "fem/plate.hpp"
 #include "materials/solid.hpp"
+#include "numeric/eigen.hpp"
 #include "numeric/parallel.hpp"
+#include "obs/registry.hpp"
 
 namespace af = aeropack::fem;
 namespace am = aeropack::materials;
 namespace an = aeropack::numeric;
+using aeropack::ExecutionConfig;
+using aeropack::ExecutionContext;
 
 namespace {
 
@@ -40,37 +46,40 @@ af::PlateModel ps_board(double thickness, double doubler_factor) {
 }
 
 void expect_paths_agree(const af::PlateModel& plate, std::size_t n_modes, double freq_rtol) {
-  af::ModalOptions dense_opts, sparse_opts;
-  dense_opts.n_modes = n_modes;
-  dense_opts.path = af::ModalPath::Dense;
-  sparse_opts.n_modes = n_modes;
-  sparse_opts.path = af::ModalPath::Sparse;
-  const auto dense = plate.solve_modal(dense_opts);
-  const auto sparse = plate.solve_modal(sparse_opts);
-  ASSERT_EQ(dense.frequencies_hz.size(), n_modes);
+  af::ModalOptions opts;
+  opts.n_modes = n_modes;
+  const auto sparse = plate.solve_modal(opts);
   ASSERT_EQ(sparse.frequencies_hz.size(), n_modes);
 
   an::CsrMatrix k, m;
   plate.reduced_sparse(k, m);
   const std::size_t nr = k.rows();
+  const an::EigenResult dense = an::eigen_generalized(k.to_dense(), m.to_dense());
+  const an::Vector dense_hz = an::natural_frequencies_hz(dense);
+  // Dense participation factors for out-of-plane base excitation: r = 1 on
+  // every free w DOF, as PlateModel::solve_modal forms them.
+  an::Vector r(nr, 0.0);
+  for (std::size_t i = 0; i < nr; ++i)
+    if (sparse.free_to_full[i] % 3 == 0) r[i] = 1.0;
+  const an::Vector mr = m.multiply(r);
+  an::Vector dense_pf(n_modes, 0.0);
+  for (std::size_t j = 0; j < n_modes; ++j)
+    for (std::size_t i = 0; i < nr; ++i) dense_pf[j] += dense.eigenvectors(i, j) * mr[i];
   // Antisymmetric modes have participation factors that are pure numerical
   // noise; compare against the largest factor, not mode-by-mode magnitude.
   double pf_scale = 0.0;
-  for (std::size_t j = 0; j < n_modes; ++j)
-    pf_scale = std::max(pf_scale, std::fabs(dense.participation_factors[j]));
+  for (std::size_t j = 0; j < n_modes; ++j) pf_scale = std::max(pf_scale, std::fabs(dense_pf[j]));
   for (std::size_t j = 0; j < n_modes; ++j) {
-    EXPECT_NEAR(sparse.frequencies_hz[j], dense.frequencies_hz[j],
-                freq_rtol * dense.frequencies_hz[j])
-        << "mode " << j;
+    EXPECT_NEAR(sparse.frequencies_hz[j], dense_hz[j], freq_rtol * dense_hz[j]) << "mode " << j;
     // Shapes agree up to sign: both are M-orthonormal, so |phi_s . M phi_d| = 1.
     an::Vector pd(nr);
-    for (std::size_t i = 0; i < nr; ++i) pd[i] = dense.shapes(i, j);
+    for (std::size_t i = 0; i < nr; ++i) pd[i] = dense.eigenvectors(i, j);
     const an::Vector mpd = m.multiply(pd);
     double overlap = 0.0;
     for (std::size_t i = 0; i < nr; ++i) overlap += sparse.shapes(i, j) * mpd[i];
     EXPECT_NEAR(std::fabs(overlap), 1.0, 1e-6) << "mode " << j;
-    EXPECT_NEAR(std::fabs(sparse.participation_factors[j]),
-                std::fabs(dense.participation_factors[j]), 1e-5 * pf_scale)
+    EXPECT_NEAR(std::fabs(sparse.participation_factors[j]), std::fabs(dense_pf[j]),
+                1e-5 * pf_scale)
         << "mode " << j;
   }
 }
@@ -90,7 +99,6 @@ TEST(ModalSparse, SparseFundamentalTracksAnalyticSolution) {
   const auto plate = ss_plate();
   af::ModalOptions opts;
   opts.n_modes = 3;
-  opts.path = af::ModalPath::Sparse;
   const auto modes = plate.solve_modal(opts);
   const double analytic = af::ss_plate_frequency(0.30, 0.20, 2e-3, am::fr4(), 1, 1);
   EXPECT_NEAR(modes.frequencies_hz[0], analytic, 0.05 * analytic);
@@ -101,7 +109,6 @@ TEST(ModalSparse, BitIdenticalAcrossThreadCounts) {
   const auto plate = ps_board(1.6e-3, 2.0);
   af::ModalOptions opts;
   opts.n_modes = 5;
-  opts.path = af::ModalPath::Sparse;
 
   an::set_thread_count(1);
   const auto baseline = plate.solve_modal(opts);
@@ -181,22 +188,40 @@ af::Frame3D bracket3d() {
   return f;
 }
 
+/// Every input here has a subspace width q with 5q > n (q >= 10 against at
+/// most 36 DOFs), so the solve is the exact identity-block pass: no
+/// factorization, and the leading pairs of the dense generalized solve bit
+/// for bit.
 template <typename Model>
 void expect_sparse_matches_dense(const std::string& name, const Model& model) {
   an::CsrMatrix k, m;
   model.reduced_sparse(k, m);
-  af::ModalOptions dense_opts, sparse_opts;
-  dense_opts.path = af::ModalPath::Dense;
-  sparse_opts.path = af::ModalPath::Sparse;  // n_modes = 0 asks for 16
-  const af::ReducedModes dense = af::solve_reduced_modes(k, m, dense_opts);
-  af::ReducedModes sparse;
-  ASSERT_NO_THROW(sparse = af::solve_reduced_modes(k, m, sparse_opts)) << name;
-  ASSERT_EQ(sparse.frequencies_hz.size(), std::min<std::size_t>(16, k.rows())) << name;
-  EXPECT_TRUE(sparse.used_sparse) << name;
-  for (std::size_t j = 0; j < sparse.frequencies_hz.size(); ++j)
-    EXPECT_NEAR(sparse.frequencies_hz[j], dense.frequencies_hz[j],
-                1e-10 * dense.frequencies_hz[j])
-        << name << " mode " << j;
+  const an::EigenResult dense = an::eigen_generalized(k.to_dense(), m.to_dense());
+  af::ModalOptions two_modes;
+  two_modes.n_modes = 2;
+  for (const af::ModalOptions& opts : {af::ModalOptions{}, two_modes}) {
+    ExecutionConfig cfg;
+    cfg.threads = 1;
+    cfg.telemetry = true;
+    ExecutionContext ctx(cfg);
+    const ExecutionContext::Use use(ctx);
+    af::ReducedModes sparse;
+    ASSERT_NO_THROW(sparse = af::solve_reduced_modes(k, m, opts)) << name;
+    const std::size_t want = std::min<std::size_t>(opts.n_modes == 0 ? 16 : 2, k.rows());
+    ASSERT_EQ(sparse.eigenvalues.size(), want) << name;
+    ASSERT_EQ(sparse.shapes.rows(), k.rows()) << name;
+    ASSERT_EQ(sparse.shapes.cols(), want) << name;
+    const auto counters = ctx.metrics().counters();
+    EXPECT_EQ(counters.at("numeric.eigen.sparse_solves"), 1u) << name;
+    const auto factorizations = counters.find("numeric.skyline.factorizations");
+    EXPECT_TRUE(factorizations == counters.end() || factorizations->second == 0u) << name;
+    for (std::size_t j = 0; j < want; ++j) {
+      EXPECT_EQ(sparse.eigenvalues[j], dense.eigenvalues[j]) << name << " mode " << j;
+      for (std::size_t i = 0; i < k.rows(); ++i)
+        ASSERT_EQ(sparse.shapes(i, j), dense.eigenvectors(i, j))
+            << name << " mode " << j << " dof " << i;
+    }
+  }
 }
 
 }  // namespace
@@ -204,8 +229,8 @@ void expect_sparse_matches_dense(const std::string& name, const Model& model) {
 TEST(ModalSparse, SmallFramesAndBracketsForcedSparseMatchDense) {
   // The 16 default modes need a subspace wider than half the DOF count on
   // every model here, which used to leave Y^T M Y singular ("Rayleigh-Ritz
-  // mass projection lost rank"). The sparse path now runs its exact
-  // identity-block pass instead.
+  // mass projection lost rank"). The modal path runs its exact
+  // identity-block pass instead, for the default and for two modes.
   expect_sparse_matches_dense("frame_cantilever_8", frame_cantilever(8));
   expect_sparse_matches_dense("frame_two_mass_chain", frame_two_mass_chain());
   expect_sparse_matches_dense("frame3d_cantilever_6", frame3d_cantilever());

@@ -1,15 +1,20 @@
-// Jacobi symmetric, generalized, and sparse shift-invert eigensolvers.
+// Symmetric (Householder + QL), generalized, and sparse shift-invert
+// eigensolvers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
+#include "exec/context.hpp"
 #include "numeric/eigen.hpp"
 #include "numeric/sparse.hpp"
 #include "numeric/stats.hpp"
+#include "obs/registry.hpp"
 
 namespace an = aeropack::numeric;
+using aeropack::ExecutionConfig;
+using aeropack::ExecutionContext;
 
 namespace {
 
@@ -189,13 +194,23 @@ TEST(EigenGeneralizedSparse, ResidualAndMassOrthonormality) {
 }
 
 TEST(EigenGeneralizedSparse, CgFallbackMatchesSkylinePath) {
-  const std::size_t n = 40, nm = 4;
+  // Subspace width q = 12 with 5q <= n, so the solve iterates rather than
+  // taking the exact identity-block pass.
+  const std::size_t n = 60, nm = 4;
   an::CsrMatrix k, m;
   chain_pencil(n, k, m);
   const auto direct = an::eigen_generalized_sparse(k, m, nm);
   an::SparseEigenOptions opts;
   opts.max_envelope = 1;  // force the conjugate-gradient inner solver
+  ExecutionConfig cfg;
+  cfg.threads = 1;
+  cfg.telemetry = true;
+  ExecutionContext ctx(cfg);
+  const ExecutionContext::Use use(ctx);
   const auto iterative = an::eigen_generalized_sparse(k, m, nm, opts);
+  const auto counters = aeropack::obs::current().counters();
+  EXPECT_EQ(counters.at("numeric.eigen.cg_fallbacks"), 1u);
+  EXPECT_GT(counters.at("numeric.eigen.subspace_iterations"), 1u);
   for (std::size_t j = 0; j < nm; ++j)
     EXPECT_NEAR(iterative.eigenvalues[j], direct.eigenvalues[j],
                 1e-8 * direct.eigenvalues[j]);

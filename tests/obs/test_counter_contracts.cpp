@@ -149,7 +149,6 @@ TEST(CounterContracts, Fig2BoardSparseModal) {
   const af::PlateModel board = ps_board();
   af::ModalOptions opts;
   opts.n_modes = 6;
-  opts.path = af::ModalPath::Sparse;
   expect_counter_contract("obs_fig2_modal", [&board, &opts] {
     const auto modes = board.solve_modal(opts);
     ASSERT_EQ(modes.frequencies_hz.size(), 6u);

@@ -115,7 +115,6 @@ TEST(ArtifactReuse, ModalCachedFactorizationSolvesBitIdenticalToCold) {
   board.reduced_sparse(k, m);
   af::ModalOptions opts;
   opts.n_modes = 6;
-  opts.path = af::ModalPath::Sparse;
 
   const af::ReducedModes cold = af::solve_reduced_modes(k, m, opts);
   const af::ModalFactorization factor = af::factorize_modal(k, m, opts);
@@ -139,7 +138,6 @@ TEST(ArtifactReuse, ModalFactorizationValidatesPencil) {
   aeropack::numeric::CsrMatrix k, m;
   board.reduced_sparse(k, m);
   af::ModalOptions opts;
-  opts.path = af::ModalPath::Sparse;
   af::ModalFactorization factor = af::factorize_modal(k, m, opts);
   af::ModalOptions shifted = opts;
   shifted.shift = -100.0;
