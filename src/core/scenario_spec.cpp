@@ -198,4 +198,16 @@ std::size_t count_or(const std::map<std::string, double>& m, const std::string& 
   return static_cast<std::size_t>(v);
 }
 
+double kelvin_or(const std::map<std::string, double>& m, const std::string& key,
+                 double fallback) {
+  const double v = value_or(m, key, fallback);
+  if (!(v > 0.0 && std::isfinite(v))) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", v);
+    throw std::invalid_argument("scenario temperature '" + key +
+                                "' must be finite and > 0 K, got " + got);
+  }
+  return v;
+}
+
 }  // namespace aeropack::core

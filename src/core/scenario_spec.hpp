@@ -75,4 +75,11 @@ double value_or(const std::map<std::string, double>& m, const std::string& key,
 std::size_t count_or(const std::map<std::string, double>& m, const std::string& key,
                      std::size_t fallback, std::size_t min = 0);
 
+/// Absolute-temperature form for boundary, sink and initial temperatures:
+/// the value under `key` in kelvin, or `fallback` when absent. Refuses, with
+/// a std::invalid_argument that names `key`, NaN, +-inf and every value at
+/// or below 0 K.
+double kelvin_or(const std::map<std::string, double>& m, const std::string& key,
+                 double fallback);
+
 }  // namespace aeropack::core

@@ -19,6 +19,7 @@ namespace {
 
 namespace at = aeropack::thermal;
 using core::count_or;
+using core::kelvin_or;
 using core::value_or;
 
 /// Canonical SEB box configured from a spec's loads, with port films in
@@ -48,7 +49,7 @@ std::map<std::string, double> run_mission_graph(const at::FvModel& model, const 
   AdaptiveOptions adaptive;
   adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
   adaptive.dt_max = value_or(spec.params, "dt_max", adaptive.dt_max);
-  const double t_initial = value_or(spec.params, "t_initial", 293.15);
+  const double t_initial = kelvin_or(spec.params, "t_initial", 293.15);
 
   const at::FvOptions fv_opts;
   std::shared_ptr<const at::FvAssembly> assembly;
@@ -78,8 +79,8 @@ std::map<std::string, double> run_mission_graph(const at::FvModel& model, const 
 
 std::map<std::string, double> mission_seb_do160(const core::ScenarioSpec& spec,
                                                 aeropack::ExecutionContext& ctx) {
-  const double t_cold = value_or(spec.boundaries, "t_cold", 228.15);
-  const double t_hot = value_or(spec.boundaries, "t_hot", 328.15);
+  const double t_cold = kelvin_or(spec.boundaries, "t_cold", 228.15);
+  const double t_hot = kelvin_or(spec.boundaries, "t_hot", 328.15);
   const Profile profile =
       Profile::do160_thermal_shock(t_cold, t_hot, value_or(spec.params, "ramp_rate", 5.0),
                                    value_or(spec.params, "dwell_s", 1800.0));
@@ -89,8 +90,8 @@ std::map<std::string, double> mission_seb_do160(const core::ScenarioSpec& spec,
 
 std::map<std::string, double> mission_seb_eclipse(const core::ScenarioSpec& spec,
                                                   aeropack::ExecutionContext& ctx) {
-  const double t_sunlit = value_or(spec.boundaries, "t_sunlit", 313.15);
-  const double t_eclipse = value_or(spec.boundaries, "t_eclipse", 213.15);
+  const double t_sunlit = kelvin_or(spec.boundaries, "t_sunlit", 313.15);
+  const double t_eclipse = kelvin_or(spec.boundaries, "t_eclipse", 213.15);
   const Profile profile = Profile::cubesat_eclipse(
       count_or(spec.params, "orbits", 2), value_or(spec.params, "period_s", 600.0),
       value_or(spec.params, "eclipse_fraction", 0.35), t_sunlit, t_eclipse,
@@ -108,8 +109,8 @@ std::map<std::string, double> mission_seb_eclipse(const core::ScenarioSpec& spec
 // implicit solves than the old fixed-dt march at the same tolerance.
 std::map<std::string, double> mission_network_flight(const core::ScenarioSpec& spec,
                                                      aeropack::ExecutionContext&) {
-  const double t_ground = value_or(spec.boundaries, "t_ground", 328.15);
-  const double t_cruise = value_or(spec.boundaries, "t_cruise", 243.15);
+  const double t_ground = kelvin_or(spec.boundaries, "t_ground", 328.15);
+  const double t_cruise = kelvin_or(spec.boundaries, "t_cruise", 243.15);
   const double time_scale = value_or(spec.params, "time_scale", 0.05);
   const Profile profile = Profile::arinc600_flight(t_ground, t_cruise, time_scale);
 
@@ -121,7 +122,7 @@ std::map<std::string, double> mission_network_flight(const core::ScenarioSpec& s
   net.add_conductor(chassis, ambient, 4.0);
   net.add_heat_load(equipment, value_or(spec.loads, "equipment", 120.0));
 
-  const double t_initial = value_or(spec.params, "t_initial", 293.15);
+  const double t_initial = kelvin_or(spec.params, "t_initial", 293.15);
   AdaptiveOptions adaptive;
   adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
   adaptive.dt_initial = value_or(spec.params, "dt", 5.0) * time_scale;
@@ -170,7 +171,7 @@ std::map<std::string, double> run_rom_mission_graph(const Profile& profile,
   AdaptiveOptions adaptive;
   adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
   adaptive.dt_max = value_or(spec.params, "dt_max", adaptive.dt_max);
-  const double t_initial = value_or(spec.params, "t_initial", 293.15);
+  const double t_initial = kelvin_or(spec.params, "t_initial", 293.15);
 
   const MissionSolution sol =
       run_rom_mission(model, profile, t_initial, base, adaptive, &cc.model.grid());
@@ -191,8 +192,8 @@ std::map<std::string, double> run_rom_mission_graph(const Profile& profile,
 
 std::map<std::string, double> mission_rom_do160(const core::ScenarioSpec& spec,
                                                 aeropack::ExecutionContext& ctx) {
-  const double t_cold = value_or(spec.boundaries, "t_cold", 228.15);
-  const double t_hot = value_or(spec.boundaries, "t_hot", 328.15);
+  const double t_cold = kelvin_or(spec.boundaries, "t_cold", 228.15);
+  const double t_hot = kelvin_or(spec.boundaries, "t_hot", 328.15);
   const Profile profile =
       Profile::do160_thermal_shock(t_cold, t_hot, value_or(spec.params, "ramp_rate", 5.0),
                                    value_or(spec.params, "dwell_s", 1800.0));
@@ -201,8 +202,8 @@ std::map<std::string, double> mission_rom_do160(const core::ScenarioSpec& spec,
 
 std::map<std::string, double> mission_rom_eclipse(const core::ScenarioSpec& spec,
                                                   aeropack::ExecutionContext& ctx) {
-  const double t_sunlit = value_or(spec.boundaries, "t_sunlit", 313.15);
-  const double t_eclipse = value_or(spec.boundaries, "t_eclipse", 213.15);
+  const double t_sunlit = kelvin_or(spec.boundaries, "t_sunlit", 313.15);
+  const double t_eclipse = kelvin_or(spec.boundaries, "t_eclipse", 213.15);
   const Profile profile = Profile::cubesat_eclipse(
       count_or(spec.params, "orbits", 2), value_or(spec.params, "period_s", 600.0),
       value_or(spec.params, "eclipse_fraction", 0.35), t_sunlit, t_eclipse,

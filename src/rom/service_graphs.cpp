@@ -13,6 +13,7 @@ namespace aeropack::rom {
 namespace {
 
 using core::count_or;
+using core::kelvin_or;
 using core::value_or;
 
 // One steady evaluation of a canonical compact model: the RomModel comes
@@ -34,7 +35,7 @@ std::map<std::string, double> rom_steady(CanonicalCase (*make_case)(),
   RomInputs inputs;
   inputs.sink_temperatures.reserve(cc.spec.ports.size());
   for (const RomPort& p : cc.spec.ports)
-    inputs.sink_temperatures.push_back(value_or(scenario.boundaries, p.name, 300.0));
+    inputs.sink_temperatures.push_back(kelvin_or(scenario.boundaries, p.name, 300.0));
   inputs.map_powers.reserve(cc.spec.maps.size());
   for (const RomPowerMap& m : cc.spec.maps)
     inputs.map_powers.push_back(value_or(scenario.loads, m.name, 0.0));

@@ -9,8 +9,11 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "materials/solid.hpp"
+#include "mission/service_graphs.hpp"
 #include "obs/registry.hpp"
 #include "rom/service_graphs.hpp"
 #include "thermal/fv.hpp"
@@ -329,6 +332,51 @@ TEST(ScenarioService, CountParamsWithUndefinedConversionsAreRefused) {
     const auto results = service.run({spec});
     EXPECT_FALSE(results[0].ok) << "nx = " << v;
     EXPECT_NE(results[0].error.find("'nx'"), std::string::npos) << results[0].error;
+  }
+}
+
+TEST(ScenarioService, NonPositiveAndNonFiniteTemperaturesAreRefusedByName) {
+  // Every temperature a built-in, ROM or mission graph reads is absolute:
+  // 0 K, negative kelvin and non-finite values are refused before any
+  // solve, naming the field (fv_slab_steady used to solve with t_cold=-5).
+  struct Case {
+    std::string graph;
+    std::string field;
+    bool boundary;  ///< a spec boundary; otherwise a param
+  };
+  const std::vector<Case> cases{
+      {"fv_slab_steady", "t_cold", true},     {"fv_slab_steady", "t_hot", true},
+      {"seb_point", "t_ambient", true},       {"rom_board_steady", "rail_left", true},
+      {"rom_seb_steady", "skin", true},       {"mission_seb_do160", "t_cold", true},
+      {"mission_seb_do160", "t_initial", false},
+      {"mission_seb_eclipse", "t_eclipse", true},
+      {"mission_network_flight", "t_cruise", true},
+      {"mission_network_flight", "t_initial", false},
+      {"mission_rom_do160", "t_hot", true},   {"mission_rom_eclipse", "t_sunlit", true},
+      {"mission_rom_eclipse", "t_initial", false}};
+  const double bad_values[] = {-5.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  ac::ScenarioService service;
+  aeropack::rom::register_rom_graphs(service);
+  aeropack::mission::register_mission_graphs(service);
+  std::vector<ac::ScenarioSpec> specs;
+  std::vector<std::string> fields;
+  for (const Case& c : cases)
+    for (const double v : bad_values) {
+      ac::ScenarioSpec spec;
+      spec.name = c.graph + "." + c.field + "=" + std::to_string(v);
+      spec.graph = c.graph;
+      (c.boundary ? spec.boundaries : spec.params)[c.field] = v;
+      specs.push_back(spec);
+      fields.push_back("'" + c.field + "'");
+    }
+  const auto results = service.run(specs);
+  ASSERT_EQ(results.size(), specs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_FALSE(results[i].ok) << specs[i].name;
+    EXPECT_NE(results[i].error.find(fields[i]), std::string::npos)
+        << specs[i].name << ": " << results[i].error;
   }
 }
 

@@ -1,12 +1,16 @@
 // core::ScenarioSpec — schema contracts: lossless serialize round-trips
-// (hexfloat doubles, escaped names), content-hash identity and the
-// structural/content hash split the artifact cache keys on.
+// (hexfloat doubles, escaped names), content-hash identity, the
+// structural/content hash split the artifact cache keys on, and the
+// absolute-temperature reader.
 #include "core/scenario_spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <stdexcept>
+#include <string>
 
 namespace ac = aeropack::core;
 
@@ -124,6 +128,24 @@ TEST(ScenarioSpec, DeserializeRefusesNonFiniteValuesByKey) {
       ADD_FAILURE() << bad << " was accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("power_w"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+}
+
+TEST(ScenarioSpec, KelvinReaderRefusesNonPositiveAndNonFiniteByKey) {
+  const std::map<std::string, double> ok{{"t_sink", 250.0}};
+  EXPECT_EQ(ac::kelvin_or(ok, "t_sink", 300.0), 250.0);
+  EXPECT_EQ(ac::kelvin_or(ok, "t_other", 300.0), 300.0);
+  EXPECT_EQ(ac::kelvin_or({{"t", 1e-300}}, "t", 300.0), 1e-300);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 0.0, -0.0, -5.0}) {
+    try {
+      (void)ac::kelvin_or({{"t_cold", bad}}, "t_cold", 300.0);
+      ADD_FAILURE() << bad << " K was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'t_cold'"), std::string::npos)
           << bad << ": " << e.what();
     }
   }
