@@ -62,7 +62,8 @@ std::map<std::string, double> fv_slab_steady(const ScenarioSpec& spec, Execution
 // Fig. 2 placement variant (bench modal_scenario geometry): the heavy
 // component slides along the board. Point masses perturb M only, so every
 // placement variant shares one stiffness matrix — and, at shift 0, one
-// cached shift-invert factorization of K.
+// cached shift-invert factorization of K. Mode counts whose solve takes the
+// exact pass (fem::modal_iterates false) build no factorization.
 //   params: mass_x, mass_y (0.05/0.05 m), mass_kg (0.18),
 //           thickness (1.6e-3 m), smeared_kg (2.5), n_modes (6)
 std::map<std::string, double> modal_plate(const ScenarioSpec& spec, ExecutionContext& ctx) {
@@ -81,25 +82,32 @@ std::map<std::string, double> modal_plate(const ScenarioSpec& spec, ExecutionCon
   af::ModalOptions opts;
   opts.n_modes = count_or(spec.params, "n_modes", 6, 1);
 
-  // The factorization key hashes K and the shift only — sound because we
-  // cache exclusively ladder-free shift-0 factorizations, whose factored
-  // matrix is exactly K (fem::ModalFactorization docs).
-  std::shared_ptr<const af::ModalFactorization> factor;
-  if (ArtifactCache* cache = ctx.artifact_cache()) {
-    numeric::StructuralHasher h;
-    h.add(std::string_view("fem.modal_factorization")).add(numeric::hash_csr(k)).add(opts.shift);
-    const std::uint64_t key = h.value();
-    factor = cache->find<af::ModalFactorization>(key);
-    if (!factor) {
-      auto built = std::make_shared<const af::ModalFactorization>(af::factorize_modal(k, m, opts));
-      if (built->ladder_free && opts.shift == 0.0)
-        cache->insert<af::ModalFactorization>(key, built, built->cost_bytes());
-      factor = std::move(built);
-    }
+  af::ReducedModes modes;
+  if (!af::modal_iterates(k.rows(), opts)) {
+    // The exact pass reads no factorization: build none and cache none.
+    modes = af::solve_reduced_modes(k, m, opts);
   } else {
-    factor = std::make_shared<const af::ModalFactorization>(af::factorize_modal(k, m, opts));
+    // The factorization key hashes K and the shift only — sound because we
+    // cache exclusively ladder-free shift-0 factorizations, whose factored
+    // matrix is exactly K (fem::ModalFactorization docs).
+    std::shared_ptr<const af::ModalFactorization> factor;
+    if (ArtifactCache* cache = ctx.artifact_cache()) {
+      numeric::StructuralHasher h;
+      h.add(std::string_view("fem.modal_factorization")).add(numeric::hash_csr(k)).add(opts.shift);
+      const std::uint64_t key = h.value();
+      factor = cache->find<af::ModalFactorization>(key);
+      if (!factor) {
+        auto built =
+            std::make_shared<const af::ModalFactorization>(af::factorize_modal(k, m, opts));
+        if (built->ladder_free && opts.shift == 0.0)
+          cache->insert<af::ModalFactorization>(key, built, built->cost_bytes());
+        factor = std::move(built);
+      }
+    } else {
+      factor = std::make_shared<const af::ModalFactorization>(af::factorize_modal(k, m, opts));
+    }
+    modes = af::solve_reduced_modes(k, m, opts, *factor);
   }
-  const af::ReducedModes modes = af::solve_reduced_modes(k, m, opts, *factor);
 
   std::map<std::string, double> out;
   if (!modes.frequencies_hz.empty()) out["f1_hz"] = modes.frequencies_hz[0];
@@ -226,6 +234,9 @@ ScenarioServiceStats ScenarioService::stats() const {
 }
 
 void ScenarioService::worker_loop() {
+  // The worker's one pool for its lifetime: every scenario it runs borrows
+  // it, so no scenario spawns or joins a thread.
+  numeric::ThreadPool pool(opts_.threads_per_scenario);
   for (;;) {
     std::shared_ptr<Job> job;
     {
@@ -235,18 +246,18 @@ void ScenarioService::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    execute(*job);
+    execute(*job, pool);
   }
 }
 
-void ScenarioService::execute(Job& job) {
-  // Fresh isolated context per scenario, plus the artifact-cache pointer
-  // the solver graphs probe.
+void ScenarioService::execute(Job& job, numeric::ThreadPool& pool) {
+  // Fresh context per scenario on the worker's pool: its own registry, plus
+  // the artifact-cache pointer the solver graphs probe.
   ExecutionConfig cfg;
   cfg.threads = opts_.threads_per_scenario;
   cfg.telemetry = opts_.telemetry;
   cfg.artifact_cache = opts_.use_cache ? &cache_ : nullptr;
-  ExecutionContext ctx(cfg);
+  ExecutionContext ctx(pool, cfg);
   const auto t0 = std::chrono::steady_clock::now();
   try {
     const ExecutionContext::Use use(ctx);

@@ -1,7 +1,7 @@
 // aeropack::ExecutionContext — one isolated execution environment for the
-// solver stack: a thread pool and an obs telemetry registry, owned together
-// so independent solves can run concurrently without sharing mutable
-// process state.
+// solver stack: a thread pool, owned or borrowed, and an obs telemetry
+// registry, so independent solves can run concurrently without sharing
+// mutable process state.
 //
 // Ownership model (see DESIGN.md "Execution contexts"):
 //  - The numeric kernels and the obs instrumentation sites resolve
@@ -14,6 +14,11 @@
 //    — FvModel, ThermalNetwork, the sparse modal path — lands on that
 //    context without threading a handle through every call. Solvers take no
 //    context argument: callers pin a solve by binding with Use.
+//  - A context either owns its pool (direct callers) or borrows one that
+//    outlives it: each core::ScenarioService worker keeps one pool for its
+//    lifetime and runs every scenario on a fresh context that borrows it,
+//    so a scenario spawns no threads, yet its registry and artifact-cache
+//    pointer are its own.
 //  - One context serves one driving thread at a time; distinct contexts on
 //    distinct threads are fully independent (no shared instruments, no
 //    shared task queue). This is the contract core::ScenarioService builds
@@ -21,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 #include "numeric/parallel.hpp"
 #include "obs/registry.hpp"
@@ -52,14 +58,20 @@ class ExecutionContext {
  public:
   /// Fresh isolated context: its own pool and its own registry.
   explicit ExecutionContext(const ExecutionConfig& config = {});
+  /// Context on a borrowed pool, with its own registry and cache pointer.
+  /// The pool must outlive the context, and only the thread driving the
+  /// context may drive the pool meanwhile. Throws std::invalid_argument,
+  /// naming `threads`, when config.threads (0 clamped to 1) differs from
+  /// pool.threads().
+  ExecutionContext(numeric::ThreadPool& pool, const ExecutionConfig& config);
   ~ExecutionContext();
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  numeric::ThreadPool& pool() { return pool_; }
+  numeric::ThreadPool& pool() { return *pool_; }
   obs::Registry& metrics() { return registry_; }
   const obs::Registry& metrics() const { return registry_; }
-  std::size_t threads() const { return pool_.threads(); }
+  std::size_t threads() const { return pool_->threads(); }
   /// The shared artifact cache this context may consult, or nullptr when the
   /// run is uncached (direct solves, services built with use_cache off).
   core::ArtifactCache* artifact_cache() const { return artifact_cache_; }
@@ -72,7 +84,7 @@ class ExecutionContext {
   class Use {
    public:
     explicit Use(ExecutionContext& ctx)
-        : prev_pool_(numeric::exchange_current_pool(&ctx.pool_)),
+        : prev_pool_(numeric::exchange_current_pool(ctx.pool_)),
           prev_registry_(obs::exchange_current(&ctx.registry_)) {}
     ~Use() {
       obs::exchange_current(prev_registry_);
@@ -87,7 +99,8 @@ class ExecutionContext {
   };
 
  private:
-  numeric::ThreadPool pool_;
+  std::optional<numeric::ThreadPool> owned_pool_;  ///< empty when borrowed
+  numeric::ThreadPool* pool_;
   obs::Registry registry_;
   core::ArtifactCache* artifact_cache_;
 };

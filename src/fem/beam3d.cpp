@@ -4,8 +4,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "fem/static_solve.hpp"
 #include "numeric/assembly.hpp"
-#include "numeric/solve_dense.hpp"
 
 namespace aeropack::fem {
 
@@ -283,9 +283,7 @@ Vector Frame3D::solve_static(const Vector& loads) const {
   const DofMap dmap = dof_map();
   CsrMatrix k, m;
   assemble_csr(dmap, k, m);
-  const Vector f = dmap.reduce(loads);
-  const Vector u = numeric::solve(k.to_dense(), f);
-  return dmap.expand(u);
+  return dmap.expand(solve_reduced_static(k, dmap.reduce(loads), "Frame3D::solve_static"));
 }
 
 Vector Frame3D::natural_frequencies(const ModalOptions& opts) const {

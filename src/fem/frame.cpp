@@ -3,8 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "fem/static_solve.hpp"
 #include "numeric/assembly.hpp"
-#include "numeric/solve_dense.hpp"
 
 namespace aeropack::fem {
 
@@ -157,15 +157,10 @@ void FrameModel::reduced_system(Matrix& k, Matrix& m,
 
 Vector FrameModel::solve_static(const Vector& loads) const {
   if (loads.size() != dof_count()) throw std::invalid_argument("solve_static: load size");
-  Matrix k, m;
-  std::vector<std::size_t> map;
-  reduced_system(k, m, map);
-  Vector f(map.size());
-  for (std::size_t i = 0; i < map.size(); ++i) f[i] = loads[map[i]];
-  const Vector u = numeric::solve(k, f);
-  Vector full(dof_count(), 0.0);
-  for (std::size_t i = 0; i < map.size(); ++i) full[map[i]] = u[i];
-  return full;
+  const DofMap dmap = dof_map();
+  CsrMatrix k, m;
+  assemble_csr(dmap, k, m);
+  return dmap.expand(solve_reduced_static(k, dmap.reduce(loads), "FrameModel::solve_static"));
 }
 
 Vector FrameModel::influence_vector(double ax, double ay) const {

@@ -51,6 +51,13 @@ struct ReducedModes {
 ReducedModes solve_reduced_modes(const numeric::CsrMatrix& k, const numeric::CsrMatrix& m,
                                  const ModalOptions& opts = {});
 
+/// True when solve_reduced_modes on a pencil of `free_dofs` DOFs iterates
+/// and so reads a factorization; false when it takes the exact pass, where
+/// a factorize_modal would build work nothing reads. The same rule the
+/// solver applies (numeric::sparse_eigen_exact_pass after the n_modes
+/// clamp), for callers that build and cache factorizations themselves.
+bool modal_iterates(std::size_t free_dofs, const ModalOptions& opts);
+
 /// The factorization half of a modal solve, split out as an immutable
 /// artifact for core::ArtifactCache: building it does the skyline Cholesky
 /// work; re-using it makes subsequent solve_reduced_modes calls pure

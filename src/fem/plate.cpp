@@ -9,11 +9,11 @@
 #include <string>
 #include <utility>
 
+#include "fem/static_solve.hpp"
 #include "numeric/assembly.hpp"
 #include "numeric/eigen.hpp"
 #include "numeric/quadrature.hpp"
 #include "numeric/solve_dense.hpp"
-#include "numeric/sparse_cholesky.hpp"
 
 namespace aeropack::fem {
 
@@ -331,21 +331,8 @@ numeric::Vector PlateModel::solve_static_pressure(double pressure) const {
       const double wy = (j == 0 || j == ny_) ? 0.5 : 1.0;
       f[3 * node_index(i, j)] = pressure * a * b * wx * wy;
     }
-  const Vector fr = dmap.reduce(f);
-
-  Vector u;
-  try {
-    u = numeric::SkylineCholesky(k).solve(fr);
-  } catch (const std::length_error&) {
-    numeric::IterativeOptions io;
-    io.tolerance = 1e-12;
-    io.max_iterations = std::max<std::size_t>(10000, 20 * fr.size());
-    numeric::IterativeResult res = numeric::conjugate_gradient(k, fr, io);
-    if (!res.converged)
-      throw std::runtime_error("PlateModel::solve_static_pressure: CG did not converge");
-    u = std::move(res.x);
-  }
-  return dmap.expand(u);
+  return dmap.expand(
+      solve_reduced_static(k, dmap.reduce(f), "PlateModel::solve_static_pressure"));
 }
 
 double PlateModel::max_deflection_under_g(double n_g) const {

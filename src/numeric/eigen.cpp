@@ -345,6 +345,12 @@ ShiftedFactorization factorize_shift_invert(const CsrMatrix& k, const CsrMatrix&
 
 namespace {
 
+/// Subspace width q of an n-DOF solve for n_modes modes.
+std::size_t subspace_width(std::size_t n, std::size_t n_modes) {
+  constexpr std::size_t kSubspaceExtra = 8;
+  return std::min(n, std::max(2 * n_modes, n_modes + kSubspaceExtra));
+}
+
 /// Deterministic start block for the subspace iteration, row-major n x q:
 /// one fixed-seed LCG fills column after column, uniform in [-0.5, 0.5), so
 /// the block spans a generic q-dimensional subspace. Bathe's unit vectors at
@@ -464,31 +470,35 @@ EigenResult run_subspace_iteration(const CsrMatrix& k, const CsrMatrix& m,
 }
 
 /// The one body of both public overloads. `cached` null factorizes K -
-/// sigma*M when the solve iterates. A subspace with 5q > n takes one exact
-/// Rayleigh-Ritz pass on the identity block instead, the dense generalized
-/// solve with no factorization: from 2q > n a generic start block leaves
-/// Y^T M Y numerically singular, and short of n = 5q iterating cost up to
-/// 1.3x the dense solve on plate pencils (a 96-DOF board at 12 modes,
-/// q = 24).
+/// sigma*M when the solve iterates; the exact pass (see
+/// sparse_eigen_exact_pass) factorizes nothing.
 EigenResult lowest_pairs(const CsrMatrix& k, const CsrMatrix& m, std::size_t n_modes,
                          const SparseEigenOptions& opts, const ShiftedFactorization* cached) {
-  constexpr std::size_t kSubspaceExtra = 8;
   static thread_local obs::CounterHandle solves{"numeric.eigen.sparse_solves"};
   static thread_local obs::CounterHandle sweeps{"numeric.eigen.subspace_iterations"};
   obs::ScopedTimer span("numeric.eigen_sparse");
   solves.add();
   const std::size_t n = k.rows();
-  const std::size_t q = std::min(n, std::max(2 * n_modes, n_modes + kSubspaceExtra));
-  if (5 * q > n) {
+  if (sparse_eigen_exact_pass(n, n_modes)) {
     sweeps.add();
     const EigenResult full = eigen_generalized(k.to_dense(), m.to_dense());
     return leading_pairs(full.eigenvalues, full.eigenvectors.data(), n, n, n_modes);
   }
+  const std::size_t q = subspace_width(n, n_modes);
   if (cached) return run_subspace_iteration(k, m, n_modes, q, *cached);
   return run_subspace_iteration(k, m, n_modes, q, factorize_shift_invert(k, m, opts));
 }
 
 }  // namespace
+
+// A subspace with 5q > n takes one exact Rayleigh-Ritz pass on the identity
+// block, the dense generalized solve with no factorization: from 2q > n a
+// generic start block leaves Y^T M Y numerically singular, and short of
+// n = 5q iterating cost up to 1.3x the dense solve on plate pencils (a
+// 96-DOF board at 12 modes, q = 24).
+bool sparse_eigen_exact_pass(std::size_t n, std::size_t n_modes) {
+  return 5 * subspace_width(n, n_modes) > n;
+}
 
 EigenResult eigen_generalized_sparse(const CsrMatrix& k, const CsrMatrix& m,
                                      std::size_t n_modes, const SparseEigenOptions& opts) {

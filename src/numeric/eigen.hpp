@@ -106,6 +106,10 @@ ShiftedFactorization factorize_shift_invert(const CsrMatrix& k, const CsrMatrix&
 EigenResult eigen_generalized_sparse(const CsrMatrix& k, const CsrMatrix& m,
                                      std::size_t n_modes,
                                      const SparseEigenOptions& opts = {});
+/// True when eigen_generalized_sparse solves an n-DOF pencil for n_modes
+/// modes by its exact identity-block pass (5q > n): it then factorizes
+/// nothing and reads no ShiftedFactorization it is handed.
+bool sparse_eigen_exact_pass(std::size_t n, std::size_t n_modes);
 /// Same solve on a pre-built (possibly cache-shared) factorization of
 /// exactly this (K, M, opts) combination. Bit-identical to the factorizing
 /// overload; performs no factorization work, so "numeric.skyline.*" counters

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "exec/context.hpp"
@@ -102,6 +103,51 @@ TEST(ExecutionContext, KernelsRunOnTheBoundPool) {
   const ExecutionContext::Use use(ctx);
   an::Vector a(1000, 0.5), b(1000, 2.0);
   EXPECT_DOUBLE_EQ(an::parallel_dot(a, b), 1000.0);
+}
+
+TEST(ExecutionContext, BorrowedPoolIsBoundWhileEachContextKeepsItsRegistry) {
+  an::ThreadPool pool(2);
+  ExecutionConfig cfg;
+  cfg.threads = 2;
+  cfg.telemetry = true;
+  ExecutionContext first(pool, cfg);
+  ExecutionContext second(pool, cfg);
+  EXPECT_EQ(&first.pool(), &pool);
+  EXPECT_EQ(&second.pool(), &pool);
+  EXPECT_EQ(first.threads(), 2u);
+  EXPECT_NE(&first.metrics(), &second.metrics());
+  {
+    const ExecutionContext::Use use(first);
+    EXPECT_EQ(&an::current_pool(), &pool);
+    EXPECT_EQ(&obs::current(), &first.metrics());
+    instrumented_site();
+    instrumented_site();
+  }
+  {
+    const ExecutionContext::Use use(second);
+    EXPECT_EQ(&an::current_pool(), &pool);
+    EXPECT_EQ(&obs::current(), &second.metrics());
+    instrumented_site();
+  }
+  EXPECT_EQ(bumps_in(first.metrics()), 2u);
+  EXPECT_EQ(bumps_in(second.metrics()), 1u);
+}
+
+TEST(ExecutionContext, BorrowedPoolMustMatchTheConfiguredThreads) {
+  an::ThreadPool pool(2);
+  ExecutionConfig cfg;
+  cfg.threads = 3;
+  try {
+    const ExecutionContext ctx(pool, cfg);
+    FAIL() << "a 3-thread config borrowed a 2-thread pool";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("threads"), std::string::npos) << e.what();
+  }
+  cfg.threads = 0;  // clamps to 1, which still differs from 2
+  EXPECT_THROW({ const ExecutionContext ctx(pool, cfg); }, std::invalid_argument);
+  an::ThreadPool serial(1);
+  const ExecutionContext ctx(serial, cfg);
+  EXPECT_EQ(ctx.threads(), 1u);
 }
 
 // --- Satellite: per-context telemetry isolation ----------------------------

@@ -1,13 +1,16 @@
 // Frame model assembly, statics, modal analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
+#include "exec/context.hpp"
 #include "fem/frame.hpp"
 #include "fem/sdof.hpp"
 #include "materials/solid.hpp"
+#include "numeric/solve_dense.hpp"
 
 namespace af = aeropack::fem;
 namespace am = aeropack::materials;
@@ -39,6 +42,35 @@ TEST(FrameModel, StaticCantileverTipDeflection) {
   const double e = am::aluminum_6061().youngs_modulus;
   const double expected = -50.0 * l * l * l / (3.0 * e * s.inertia);
   EXPECT_NEAR(u[m.global_dof(tip, af::Dof::Uy)], expected, 1e-3 * std::fabs(expected));
+}
+
+TEST(FrameModel, StaticSolveIsOneSkylineFactorizationMatchingDenseLu) {
+  auto m = cantilever(12, 0.5, af::BeamSection::rectangle(0.02, 0.005));
+  aeropack::numeric::Vector loads(m.dof_count(), 0.0);
+  for (std::size_t n = 1; n < m.node_count(); ++n) {
+    loads[m.global_dof(n, af::Dof::Ux)] = 3.0 * static_cast<double>(n);
+    loads[m.global_dof(n, af::Dof::Uy)] = -20.0;
+    loads[m.global_dof(n, af::Dof::Rz)] = 0.5;
+  }
+  aeropack::ExecutionConfig cfg;
+  cfg.telemetry = true;
+  aeropack::ExecutionContext ctx(cfg);
+  aeropack::numeric::Vector u;
+  {
+    const aeropack::ExecutionContext::Use use(ctx);
+    u = m.solve_static(loads);
+  }
+  EXPECT_EQ(ctx.metrics().counters().at("numeric.skyline.factorizations"), 1u);
+
+  const af::DofMap map = m.dof_map();
+  aeropack::numeric::CsrMatrix k, mass;
+  m.reduced_sparse(k, mass);
+  const aeropack::numeric::Vector dense =
+      map.expand(aeropack::numeric::solve(k.to_dense(), map.reduce(loads)));
+  double peak = 0.0;
+  for (const double v : dense) peak = std::max(peak, std::fabs(v));
+  ASSERT_EQ(u.size(), dense.size());
+  for (std::size_t i = 0; i < u.size(); ++i) EXPECT_NEAR(u[i], dense[i], 1e-12 * peak) << i;
 }
 
 TEST(FrameModel, CantileverFundamentalFrequencyMatchesAnalytic) {
