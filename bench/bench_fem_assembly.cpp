@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "fem/modal.hpp"
 #include "fem/plate.hpp"
 #include "materials/solid.hpp"
@@ -213,7 +214,6 @@ int main(int argc, char** argv) try {
     // expectations (bench/expected/) count iterations across all reps.
     const int reps = smoke ? 5 : (nx <= 12 ? 7 : 5);
 
-    an::set_thread_count(1);
     an::CsrMatrix k, m;
     res.assembly_ms = time_ms(std::max(reps, 3), [&] { plate.reduced_sparse(k, m); });
     res.free_dofs = k.rows();
@@ -222,7 +222,7 @@ int main(int argc, char** argv) try {
     af::ModalOptions opts;
     opts.n_modes = n_modes;
     for (const std::size_t t : thread_counts) {
-      an::set_thread_count(t);
+      const bench_util::BoundPool bind(t);
       ThreadTiming tt;
       tt.threads = t;
       tt.sparse_modal_ms = time_ms(reps, [&] {
@@ -237,7 +237,6 @@ int main(int argc, char** argv) try {
                 nx, ny, res.free_dofs, res.nonzeros, res.assembly_ms,
                 res.timings.front().sparse_modal_ms);
   }
-  an::set_thread_count(0);
 
   std::printf("\n  %-8s | %-9s | %-8s | %-12s\n", "mesh", "free dof", "threads", "modal [ms]");
   std::printf("  ---------+-----------+----------+-------------\n");

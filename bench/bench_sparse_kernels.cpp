@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "materials/solid.hpp"
 #include "numeric/amg.hpp"
 #include "numeric/parallel.hpp"
@@ -133,11 +134,10 @@ SolverComparison compare_solvers(const std::string& name, const at::FvModel& mod
   out.name = name;
   const at::LinearSteadySystem sys = model.linearize_steady();
   out.cells = sys.rhs.size();
-  an::set_thread_count(1);
   out.amg_setup_ms = time_ms(reps, [&] { const an::AmgHierarchy h(sys.matrix); });
   const an::AmgHierarchy hierarchy(sys.matrix);
   for (const std::size_t t : thread_counts) {
-    an::set_thread_count(t);
+    const bench_util::BoundPool bind(t);
     SolverTiming st;
     st.threads = t;
     an::IterativeResult jacobi, amg;
@@ -178,7 +178,7 @@ std::vector<FormTiming> compare_forms(const at::FvModel& model,
   const an::Vector x(sys.rhs.size(), 1.0);
   std::vector<FormTiming> out;
   for (const std::size_t t : thread_counts) {
-    an::set_thread_count(t);
+    const bench_util::BoundPool bind(t);
     FormTiming ft;
     ft.threads = t;
     an::Vector y;
@@ -391,7 +391,7 @@ int main(int argc, char** argv) try {
 
   std::printf("\n================================================================\n");
   std::printf("BENCH-SPARSE — multithreaded sparse kernels + FV assembly caching\n");
-  std::printf("SpMV / CG / steady FV solve vs grid size and AEROPACK_THREADS\n");
+  std::printf("SpMV / CG / steady FV solve vs grid size and thread count\n");
   std::printf("================================================================\n");
 
   const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
@@ -430,8 +430,6 @@ int main(int argc, char** argv) try {
     const int reps = 5;
 
     const at::FvModel model = make_model(n);
-
-    an::set_thread_count(1);
     at::FvOptions opts;
 
     // 7-point matrix equivalent to the FV system for kernel micro-benches.
@@ -464,7 +462,7 @@ int main(int argc, char** argv) try {
       an::Vector x(res.cells, 1.0);
       an::Vector rhs(res.cells, 1.0);
       for (const std::size_t t : thread_counts) {
-        an::set_thread_count(t);
+        const bench_util::BoundPool bind(t);
         ThreadTiming tt;
         tt.threads = t;
         tt.spmv_ms = time_ms(std::max(reps, 3), [&] {
@@ -485,7 +483,6 @@ int main(int argc, char** argv) try {
     // Cached-assembly costs, read off the fv.assemble_structure and
     // fv.update_boundary spans of transient micro-marches: each march builds
     // the structure once and rewrites the boundary terms every step.
-    an::set_thread_count(1);
     {
       const bool telemetry = obs::enabled();
       obs::enable();
@@ -539,7 +536,6 @@ int main(int argc, char** argv) try {
                                       aeropack::verify::mms_steady_model(mms, n), case_threads,
                                       reps));
   }
-  an::set_thread_count(0);
 
   std::printf("\n  %-8s | %-8s | %-10s | %-10s | %-12s | %-10s\n", "grid", "threads",
               "spmv [ms]", "cg [ms]", "steady [ms]", "speedup");

@@ -17,6 +17,23 @@
 
 namespace bench_util {
 
+/// Runs the calling thread's kernels on a fresh pool of `threads` threads
+/// while alive; a sweep binds one per thread count. Unlike an
+/// ExecutionContext it leaves the registry binding alone, so a --report run
+/// keeps the sweep's counters and spans in the process registry it reports.
+class BoundPool {
+ public:
+  explicit BoundPool(std::size_t threads)
+      : pool_(threads), prev_(aeropack::numeric::exchange_current_pool(&pool_)) {}
+  ~BoundPool() { aeropack::numeric::exchange_current_pool(prev_); }
+  BoundPool(const BoundPool&) = delete;
+  BoundPool& operator=(const BoundPool&) = delete;
+
+ private:
+  aeropack::numeric::ThreadPool pool_;
+  aeropack::numeric::ThreadPool* prev_;
+};
+
 inline void banner(const std::string& experiment, const std::string& description) {
   std::printf("\n================================================================\n");
   std::printf("%s\n%s\n", experiment.c_str(), description.c_str());

@@ -6,9 +6,11 @@
 // Ownership model (see DESIGN.md "Execution contexts"):
 //  - The numeric kernels and the obs instrumentation sites resolve
 //    thread-local "current" handles (numeric::current_pool(),
-//    obs::current()). With nothing bound they fall back to the process-wide
-//    singletons — today's behavior, bit-for-bit, which is what keeps every
-//    existing golden valid.
+//    obs::current()). The bound context is the one thing that decides how
+//    many threads a kernel runs on: with nothing bound, kernels run serially
+//    on a shared worker-less pool that any number of threads may drive at
+//    once, and instruments record into the process-wide registry. Results
+//    are bitwise the same either way.
 //  - ExecutionContext::Use binds a context's pool and registry to the
 //    calling thread (RAII, restores the previous binding), so a whole solve
 //    — FvModel, ThermalNetwork, the sparse modal path — lands on that
@@ -40,8 +42,9 @@ namespace aeropack {
 /// Run configuration for a fresh context.
 struct ExecutionConfig {
   /// Total threads the context's pool runs kernels on (0 is clamped to 1).
-  /// Deliberately NOT defaulted from AEROPACK_THREADS: batch executors size
-  /// contexts explicitly against their worker count.
+  /// With core::ScenarioServiceOptions::threads_per_scenario, the only
+  /// thread count in the library: batch executors size contexts explicitly
+  /// against their worker count.
   std::size_t threads = 1;
   /// Arm the context's registry from birth (per-context telemetry does not
   /// read AEROPACK_TELEMETRY — that variable governs the process default).

@@ -22,10 +22,37 @@ using core::count_or;
 using core::kelvin_or;
 using core::value_or;
 
-/// Canonical SEB box configured from a spec's loads, with port films in
-/// place (the drive supplies the per-step sink temperatures).
-at::FvModel seb_mission_model(const core::ScenarioSpec& spec, double t_sink0) {
-  rom::CanonicalCase cc = rom::seb_box();
+/// A mission profile read from a spec, and the sink temperature its march
+/// starts from.
+struct SpecProfile {
+  Profile profile;
+  double t_sink0;
+};
+
+/// DO-160 thermal shock between t_cold and t_hot; the march starts cold.
+SpecProfile do160_profile(const core::ScenarioSpec& spec) {
+  const double t_cold = kelvin_or(spec.boundaries, "t_cold", 228.15);
+  const double t_hot = kelvin_or(spec.boundaries, "t_hot", 328.15);
+  return {Profile::do160_thermal_shock(t_cold, t_hot, value_or(spec.params, "ramp_rate", 5.0),
+                                       value_or(spec.params, "dwell_s", 1800.0)),
+          t_cold};
+}
+
+/// CubeSat orbital eclipse square wave; the march starts sunlit.
+SpecProfile eclipse_profile(const core::ScenarioSpec& spec) {
+  const double t_sunlit = kelvin_or(spec.boundaries, "t_sunlit", 313.15);
+  const double t_eclipse = kelvin_or(spec.boundaries, "t_eclipse", 213.15);
+  return {Profile::cubesat_eclipse(
+              count_or(spec.params, "orbits", 2), value_or(spec.params, "period_s", 600.0),
+              value_or(spec.params, "eclipse_fraction", 0.35), t_sunlit, t_eclipse,
+              value_or(spec.params, "eclipse_power_scale", 0.6)),
+          t_sunlit};
+}
+
+/// Inputs of the canonical SEB box `cc`: every port sink at t_sink0 and
+/// each power map's load from spec.loads (pcb_components 40 W, others 15 W).
+rom::RomInputs seb_inputs(const core::ScenarioSpec& spec, const rom::CanonicalCase& cc,
+                          double t_sink0) {
   rom::RomInputs inputs;
   inputs.sink_temperatures.assign(cc.spec.ports.size(), t_sink0);
   inputs.map_powers.reserve(cc.spec.maps.size());
@@ -33,22 +60,47 @@ at::FvModel seb_mission_model(const core::ScenarioSpec& spec, double t_sink0) {
     const double fallback = m.name == "pcb_components" ? 40.0 : 15.0;
     inputs.map_powers.push_back(value_or(spec.loads, m.name, fallback));
   }
-  rom::apply_inputs(cc.model, cc.spec, inputs);
-  return std::move(cc.model);
+  return inputs;
 }
 
-/// Adaptive march of `model` through `profile`, assembly shared through the
-/// scenario service's ArtifactCache when one is attached. The cache key is
-/// the *steady* structural hash — the exact key steady solves of the same
-/// structure use, which is the cross-campaign hit class the mission bench
-/// gates on. The service has already bound `ctx`, so the march runs
-/// unpinned.
-std::map<std::string, double> run_mission_graph(const at::FvModel& model, const Profile& profile,
-                                                const core::ScenarioSpec& spec,
-                                                aeropack::ExecutionContext& ctx) {
+/// The controller knobs every mission graph reads: tolerance and dt_max.
+AdaptiveOptions adaptive_options(const core::ScenarioSpec& spec) {
   AdaptiveOptions adaptive;
   adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
   adaptive.dt_max = value_or(spec.params, "dt_max", adaptive.dt_max);
+  return adaptive;
+}
+
+/// The outputs the FV and ROM graphs share: field statistics at the
+/// horizon and over the whole trace, step counts and the simulated span.
+std::map<std::string, double> field_outputs(const MissionSolution& sol,
+                                            const Profile& profile) {
+  return {{"t_final_max", sol.t_max.back()},
+          {"t_final_min", sol.t_min.back()},
+          {"t_final_mean", sol.t_mean.back()},
+          {"t_peak_max", *std::max_element(sol.t_max.begin(), sol.t_max.end())},
+          {"t_low_min", *std::min_element(sol.t_min.begin(), sol.t_min.end())},
+          {"steps", static_cast<double>(sol.steps_accepted)},
+          {"step_rejections", static_cast<double>(sol.steps_rejected)},
+          {"phase_transitions", static_cast<double>(sol.phase_transitions)},
+          {"sim_seconds", profile.total_duration()}};
+}
+
+/// Adaptive FV march of the canonical SEB box, configured from the spec's
+/// loads with port films in place (the drive supplies the per-step sink
+/// temperatures), through the profile read from the spec. The
+/// assembly is shared through the scenario service's ArtifactCache when one
+/// is attached. The cache key is the *steady* structural hash — the exact
+/// key steady solves of the same structure use, which is the cross-campaign
+/// hit class the mission bench gates on. The service has already bound
+/// `ctx`, so the march runs unpinned.
+std::map<std::string, double> fv_mission_graph(const SpecProfile& mission,
+                                               const core::ScenarioSpec& spec,
+                                               aeropack::ExecutionContext& ctx) {
+  rom::CanonicalCase cc = rom::seb_box();
+  rom::apply_inputs(cc.model, cc.spec, seb_inputs(spec, cc, mission.t_sink0));
+  const at::FvModel& model = cc.model;
+  const AdaptiveOptions adaptive = adaptive_options(spec);
   const double t_initial = kelvin_or(spec.params, "t_initial", 293.15);
 
   const at::FvOptions fv_opts;
@@ -60,44 +112,59 @@ std::map<std::string, double> run_mission_graph(const at::FvModel& model, const 
         [](const at::FvAssembly& a) { return a.cost_bytes(); });
   }
   const MissionSolution sol =
-      run_fv_mission(model, profile, t_initial, adaptive, fv_opts, assembly);
+      run_fv_mission(model, mission.profile, t_initial, adaptive, fv_opts, assembly);
 
-  std::map<std::string, double> out;
-  out["t_final_max"] = sol.t_max.back();
-  out["t_final_min"] = sol.t_min.back();
-  out["t_final_mean"] = sol.t_mean.back();
-  out["t_peak_max"] = *std::max_element(sol.t_max.begin(), sol.t_max.end());
-  out["t_low_min"] = *std::min_element(sol.t_min.begin(), sol.t_min.end());
-  out["steps"] = static_cast<double>(sol.steps_accepted);
-  out["step_rejections"] = static_cast<double>(sol.steps_rejected);
-  out["phase_transitions"] = static_cast<double>(sol.phase_transitions);
+  std::map<std::string, double> out = field_outputs(sol, mission.profile);
   out["linear_iterations"] = static_cast<double>(sol.linear_iterations);
   out["structure_assemblies"] = static_cast<double>(sol.structure_assemblies);
-  out["sim_seconds"] = profile.total_duration();
+  return out;
+}
+
+/// The same campaign at reduced-order fidelity: the canonical SEB box is
+/// reduced once per structure through rom::get_or_build_rom — the same
+/// rom_key the rom steady graphs use, so a mixed campaign shares one
+/// compact model — and every mission point marches the reduced coordinates
+/// through the profile with the same adaptive controller (and the same
+/// output keys) as the FV graphs.
+std::map<std::string, double> rom_mission_graph(const SpecProfile& mission,
+                                                const core::ScenarioSpec& spec,
+                                                aeropack::ExecutionContext& ctx) {
+  rom::CanonicalCase cc = rom::seb_box();
+  rom::RomOptions rom_opts;
+  const std::size_t rank = count_or(spec.params, "rank", 0);  // 0 = automatic
+  if (rank > 0) rom_opts.rank = rank;
+  const std::shared_ptr<const rom::RomModel> model =
+      rom::get_or_build_rom(ctx.artifact_cache(), cc.model, cc.spec, rom_opts);
+  const rom::RomInputs base = seb_inputs(spec, cc, mission.t_sink0);
+  const AdaptiveOptions adaptive = adaptive_options(spec);
+  const double t_initial = kelvin_or(spec.params, "t_initial", 293.15);
+
+  const MissionSolution sol =
+      run_rom_mission(model, mission.profile, t_initial, base, adaptive, &cc.model.grid());
+
+  std::map<std::string, double> out = field_outputs(sol, mission.profile);
+  out["rank"] = static_cast<double>(model->rank());
   return out;
 }
 
 std::map<std::string, double> mission_seb_do160(const core::ScenarioSpec& spec,
                                                 aeropack::ExecutionContext& ctx) {
-  const double t_cold = kelvin_or(spec.boundaries, "t_cold", 228.15);
-  const double t_hot = kelvin_or(spec.boundaries, "t_hot", 328.15);
-  const Profile profile =
-      Profile::do160_thermal_shock(t_cold, t_hot, value_or(spec.params, "ramp_rate", 5.0),
-                                   value_or(spec.params, "dwell_s", 1800.0));
-  const at::FvModel model = seb_mission_model(spec, t_cold);
-  return run_mission_graph(model, profile, spec, ctx);
+  return fv_mission_graph(do160_profile(spec), spec, ctx);
 }
 
 std::map<std::string, double> mission_seb_eclipse(const core::ScenarioSpec& spec,
                                                   aeropack::ExecutionContext& ctx) {
-  const double t_sunlit = kelvin_or(spec.boundaries, "t_sunlit", 313.15);
-  const double t_eclipse = kelvin_or(spec.boundaries, "t_eclipse", 213.15);
-  const Profile profile = Profile::cubesat_eclipse(
-      count_or(spec.params, "orbits", 2), value_or(spec.params, "period_s", 600.0),
-      value_or(spec.params, "eclipse_fraction", 0.35), t_sunlit, t_eclipse,
-      value_or(spec.params, "eclipse_power_scale", 0.6));
-  const at::FvModel model = seb_mission_model(spec, t_sunlit);
-  return run_mission_graph(model, profile, spec, ctx);
+  return fv_mission_graph(eclipse_profile(spec), spec, ctx);
+}
+
+std::map<std::string, double> mission_rom_do160(const core::ScenarioSpec& spec,
+                                                aeropack::ExecutionContext& ctx) {
+  return rom_mission_graph(do160_profile(spec), spec, ctx);
+}
+
+std::map<std::string, double> mission_rom_eclipse(const core::ScenarioSpec& spec,
+                                                  aeropack::ExecutionContext& ctx) {
+  return rom_mission_graph(eclipse_profile(spec), spec, ctx);
 }
 
 // Two-node equipment/chassis lumped network under the ARINC 600 flight
@@ -123,10 +190,10 @@ std::map<std::string, double> mission_network_flight(const core::ScenarioSpec& s
   net.add_heat_load(equipment, value_or(spec.loads, "equipment", 120.0));
 
   const double t_initial = kelvin_or(spec.params, "t_initial", 293.15);
-  AdaptiveOptions adaptive;
-  adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
+  // Steps are in profile time, which time_scale compresses.
+  AdaptiveOptions adaptive = adaptive_options(spec);
   adaptive.dt_initial = value_or(spec.params, "dt", 5.0) * time_scale;
-  adaptive.dt_max = value_or(spec.params, "dt_max", adaptive.dt_max) * time_scale;
+  adaptive.dt_max *= time_scale;
   numeric::Vector initial(net.node_count(), t_initial);
   const NetworkMissionSolution sol = run_network_mission(net, profile, initial, adaptive);
 
@@ -141,74 +208,6 @@ std::map<std::string, double> mission_network_flight(const core::ScenarioSpec& s
           {"phase_transitions", static_cast<double>(sol.phase_transitions)},
           {"implicit_solves", static_cast<double>(sol.implicit_solves)},
           {"sim_seconds", profile.total_duration()}};
-}
-
-/// Shared body of the ROM-fidelity mission graphs: the canonical SEB box is
-/// reduced once per structure through rom::get_or_build_rom — the same
-/// rom_key the rom steady graphs use, so a mixed campaign shares one
-/// compact model — and every mission point marches the reduced coordinates
-/// through the profile with the same adaptive controller (and the same
-/// output keys) as the FV graphs.
-std::map<std::string, double> run_rom_mission_graph(const Profile& profile,
-                                                    const core::ScenarioSpec& spec,
-                                                    aeropack::ExecutionContext& ctx,
-                                                    double t_sink0) {
-  rom::CanonicalCase cc = rom::seb_box();
-  rom::RomOptions rom_opts;
-  const std::size_t rank = count_or(spec.params, "rank", 0);  // 0 = automatic
-  if (rank > 0) rom_opts.rank = rank;
-  const std::shared_ptr<const rom::RomModel> model =
-      rom::get_or_build_rom(ctx.artifact_cache(), cc.model, cc.spec, rom_opts);
-
-  rom::RomInputs base;
-  base.sink_temperatures.assign(cc.spec.ports.size(), t_sink0);
-  base.map_powers.reserve(cc.spec.maps.size());
-  for (const rom::RomPowerMap& m : cc.spec.maps) {
-    const double fallback = m.name == "pcb_components" ? 40.0 : 15.0;
-    base.map_powers.push_back(value_or(spec.loads, m.name, fallback));
-  }
-
-  AdaptiveOptions adaptive;
-  adaptive.tolerance = value_or(spec.params, "tolerance", adaptive.tolerance);
-  adaptive.dt_max = value_or(spec.params, "dt_max", adaptive.dt_max);
-  const double t_initial = kelvin_or(spec.params, "t_initial", 293.15);
-
-  const MissionSolution sol =
-      run_rom_mission(model, profile, t_initial, base, adaptive, &cc.model.grid());
-
-  std::map<std::string, double> out;
-  out["t_final_max"] = sol.t_max.back();
-  out["t_final_min"] = sol.t_min.back();
-  out["t_final_mean"] = sol.t_mean.back();
-  out["t_peak_max"] = *std::max_element(sol.t_max.begin(), sol.t_max.end());
-  out["t_low_min"] = *std::min_element(sol.t_min.begin(), sol.t_min.end());
-  out["steps"] = static_cast<double>(sol.steps_accepted);
-  out["step_rejections"] = static_cast<double>(sol.steps_rejected);
-  out["phase_transitions"] = static_cast<double>(sol.phase_transitions);
-  out["rank"] = static_cast<double>(model->rank());
-  out["sim_seconds"] = profile.total_duration();
-  return out;
-}
-
-std::map<std::string, double> mission_rom_do160(const core::ScenarioSpec& spec,
-                                                aeropack::ExecutionContext& ctx) {
-  const double t_cold = kelvin_or(spec.boundaries, "t_cold", 228.15);
-  const double t_hot = kelvin_or(spec.boundaries, "t_hot", 328.15);
-  const Profile profile =
-      Profile::do160_thermal_shock(t_cold, t_hot, value_or(spec.params, "ramp_rate", 5.0),
-                                   value_or(spec.params, "dwell_s", 1800.0));
-  return run_rom_mission_graph(profile, spec, ctx, t_cold);
-}
-
-std::map<std::string, double> mission_rom_eclipse(const core::ScenarioSpec& spec,
-                                                  aeropack::ExecutionContext& ctx) {
-  const double t_sunlit = kelvin_or(spec.boundaries, "t_sunlit", 313.15);
-  const double t_eclipse = kelvin_or(spec.boundaries, "t_eclipse", 213.15);
-  const Profile profile = Profile::cubesat_eclipse(
-      count_or(spec.params, "orbits", 2), value_or(spec.params, "period_s", 600.0),
-      value_or(spec.params, "eclipse_fraction", 0.35), t_sunlit, t_eclipse,
-      value_or(spec.params, "eclipse_power_scale", 0.6));
-  return run_rom_mission_graph(profile, spec, ctx, t_sunlit);
 }
 
 }  // namespace

@@ -27,6 +27,68 @@ void check_mission_arguments(const Profile& profile, double t_initial,
   core::check_adaptive_options("mission", adaptive);
 }
 
+/// The trace the FV and ROM marches share: per-cell volume weights, the
+/// max, min and volume-weighted mean of every recorded field, and the
+/// wall-clock epilogue. Built at the start of a march, which is where its
+/// wall clock starts.
+class FieldTrace {
+ public:
+  /// Weights are `grid`'s cell volumes, or 1 for each of the n cells when
+  /// `grid` is null. Serial sums keep the trace values independent of the
+  /// thread count.
+  FieldTrace(MissionSolution& out, const thermal::FvGrid* grid, std::size_t n)
+      : out_(out),
+        volume_(n, 1.0),
+        total_volume_(static_cast<double>(n)),
+        wall0_(std::chrono::steady_clock::now()) {
+    if (grid == nullptr) return;
+    if (grid->cell_count() != n) {
+      throw std::invalid_argument("mission: grid cell count does not match the reduced basis");
+    }
+    total_volume_ = 0.0;
+    for (std::size_t k = 0; k < grid->nz(); ++k)
+      for (std::size_t j = 0; j < grid->ny(); ++j)
+        for (std::size_t i = 0; i < grid->nx(); ++i) {
+          const double v = grid->cell_volume(i, j, k);
+          volume_[grid->index(i, j, k)] = v;
+          total_volume_ += v;
+        }
+  }
+
+  void record(double time, const numeric::Vector& field) {
+    double mx = field[0], mn = field[0], weighted = 0.0;
+    for (std::size_t c = 0; c < volume_.size(); ++c) {
+      mx = std::max(mx, field[c]);
+      mn = std::min(mn, field[c]);
+      weighted += volume_[c] * field[c];
+    }
+    out_.times.push_back(time);
+    out_.t_max.push_back(mx);
+    out_.t_min.push_back(mn);
+    out_.t_mean.push_back(weighted / total_volume_);
+  }
+
+  /// Counts the wall time since construction and, with telemetry on, sets
+  /// the simulated and wall seconds of the march.
+  void finish(double t_end) const {
+    // Wall-clock only: excluded from bench gating (tools/check_report.py).
+    static thread_local obs::CounterHandle elapsed_counter{"mission.wallclock.elapsed_us"};
+    const double wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0_).count();
+    elapsed_counter.add(static_cast<std::uint64_t>(wall_seconds * 1e6));
+    if (obs::enabled()) {
+      obs::current().gauge("mission.sim_seconds").set(t_end);
+      obs::current().gauge("mission.wall_seconds").set(wall_seconds);
+    }
+  }
+
+ private:
+  MissionSolution& out_;
+  numeric::Vector volume_;
+  double total_volume_;
+  std::chrono::steady_clock::time_point wall0_;
+};
+
 }  // namespace
 
 thermal::FvDrive drive_for(const Profile& profile) {
@@ -86,48 +148,19 @@ MissionSolution run_fv_mission(const thermal::FvModel& model, const Profile& pro
   static thread_local obs::CounterHandle reject_counter{"mission.step_rejections"};
   static thread_local obs::CounterHandle phase_counter{"mission.phase_transitions"};
   static thread_local obs::CounterHandle cg_counter{"mission.cg_iterations"};
-  // Wall-clock only: excluded from bench gating (tools/check_report.py).
-  static thread_local obs::CounterHandle elapsed_counter{"mission.wallclock.elapsed_us"};
   obs::ScopedTimer span("mission.solve");
-  const auto wall0 = std::chrono::steady_clock::now();
+  MissionSolution out;
+  const std::size_t n = model.grid().cell_count();
+  FieldTrace trace(out, &model.grid(), n);
 
   const double t_end = profile.total_duration();
   const thermal::FvDrive drive = drive_for(profile);
   thermal::FvTransientStepper stepper(model, fv_opts, std::move(assembly));
   stepper.set_drive(&drive);
-
-  const auto& grid = model.grid();
-  const std::size_t n = grid.cell_count();
-  numeric::Vector temps(n, t_initial);
-
-  // Cell volumes for the volume-average trace. Serial prefix sums keep the
-  // trace values independent of the thread count.
-  numeric::Vector volume(n, 0.0);
-  double total_volume = 0.0;
-  for (std::size_t k = 0; k < grid.nz(); ++k)
-    for (std::size_t j = 0; j < grid.ny(); ++j)
-      for (std::size_t i = 0; i < grid.nx(); ++i) {
-        const double v = grid.cell_volume(i, j, k);
-        volume[grid.index(i, j, k)] = v;
-        total_volume += v;
-      }
-
-  MissionSolution out;
   out.structure_assemblies = stepper.structure_assemblies();
 
-  const auto record = [&](double time, const numeric::Vector& field) {
-    double mx = field[0], mn = field[0], weighted = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      mx = std::max(mx, field[c]);
-      mn = std::min(mn, field[c]);
-      weighted += volume[c] * field[c];
-    }
-    out.times.push_back(time);
-    out.t_max.push_back(mx);
-    out.t_min.push_back(mn);
-    out.t_mean.push_back(weighted / total_volume);
-  };
-  record(0.0, temps);
+  numeric::Vector temps(n, t_initial);
+  trace.record(0.0, temps);
 
   const core::MarchStats stats = core::march_adaptive(
       "mission", stepper, temps, t_end, adaptive,
@@ -136,23 +169,15 @@ MissionSolution run_fv_mission(const thermal::FvModel& model, const Profile& pro
       [&](double t, const numeric::Vector& field, bool landed) {
         steps_counter.add(1);
         if (landed) phase_counter.add(1);
-        record(t, field);
+        trace.record(t, field);
       },
       [&] { reject_counter.add(1); });
   out.steps_accepted = stats.steps_accepted;
   out.steps_rejected = stats.steps_rejected;
   out.phase_transitions = stats.boundary_landings;
   out.linear_iterations = stats.step_cost;
-
   out.final_field = std::move(temps);
-
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-  elapsed_counter.add(static_cast<std::uint64_t>(wall_seconds * 1e6));
-  if (obs::enabled()) {
-    obs::current().gauge("mission.sim_seconds").set(t_end);
-    obs::current().gauge("mission.wall_seconds").set(wall_seconds);
-  }
+  trace.finish(t_end);
   return out;
 }
 
@@ -200,50 +225,16 @@ MissionSolution run_rom_mission(const rom::RomModel& model, const Profile& profi
   static thread_local obs::CounterHandle steps_counter{"mission.rom_steps"};
   static thread_local obs::CounterHandle reject_counter{"mission.rom_step_rejections"};
   static thread_local obs::CounterHandle phase_counter{"mission.phase_transitions"};
-  // Wall-clock only: excluded from bench gating (tools/check_report.py).
-  static thread_local obs::CounterHandle elapsed_counter{"mission.wallclock.elapsed_us"};
   obs::ScopedTimer span("mission.solve_rom");
-  const auto wall0 = std::chrono::steady_clock::now();
+  // A reduced model does not carry its source grid, so callers pass it when
+  // they want the FV-comparable volume-weighted mean.
+  MissionSolution out;
+  FieldTrace trace(out, grid, model.basis().rows());
 
   const double t_end = profile.total_duration();
   rom::RomTransientStepper stepper(model, base_inputs, drive_for_rom(profile, base_inputs));
   numeric::Vector y = stepper.initial_state(t_initial);
-
-  const std::size_t n = model.basis().rows();
-  // Cell volumes for the volume-average trace; a reduced model does not
-  // carry its source grid, so callers pass it when they want the
-  // FV-comparable weighted mean.
-  numeric::Vector volume(n, 1.0);
-  double total_volume = static_cast<double>(n);
-  if (grid != nullptr) {
-    if (grid->cell_count() != n) {
-      throw std::invalid_argument("mission: grid cell count does not match the reduced basis");
-    }
-    total_volume = 0.0;
-    for (std::size_t k = 0; k < grid->nz(); ++k)
-      for (std::size_t j = 0; j < grid->ny(); ++j)
-        for (std::size_t i = 0; i < grid->nx(); ++i) {
-          const double v = grid->cell_volume(i, j, k);
-          volume[grid->index(i, j, k)] = v;
-          total_volume += v;
-        }
-  }
-
-  MissionSolution out;
-  const auto record = [&](double time, const numeric::Vector& reduced) {
-    const numeric::Vector field = model.reconstruct(reduced);
-    double mx = field[0], mn = field[0], weighted = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      mx = std::max(mx, field[c]);
-      mn = std::min(mn, field[c]);
-      weighted += volume[c] * field[c];
-    }
-    out.times.push_back(time);
-    out.t_max.push_back(mx);
-    out.t_min.push_back(mn);
-    out.t_mean.push_back(weighted / total_volume);
-  };
-  record(0.0, y);
+  trace.record(0.0, model.reconstruct(y));
 
   const core::MarchStats stats = core::march_adaptive(
       "mission", stepper, y, t_end, adaptive,
@@ -251,7 +242,7 @@ MissionSolution run_rom_mission(const rom::RomModel& model, const Profile& profi
       [&](double t, const numeric::Vector& state, bool landed) {
         steps_counter.add(1);
         if (landed) phase_counter.add(1);
-        record(t, state);
+        trace.record(t, model.reconstruct(state));
       },
       [&] { reject_counter.add(1); });
   out.steps_accepted = stats.steps_accepted;
@@ -259,14 +250,7 @@ MissionSolution run_rom_mission(const rom::RomModel& model, const Profile& profi
   out.phase_transitions = stats.boundary_landings;
   out.linear_iterations = stats.step_cost;
   out.final_field = model.reconstruct(y);
-
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
-  elapsed_counter.add(static_cast<std::uint64_t>(wall_seconds * 1e6));
-  if (obs::enabled()) {
-    obs::current().gauge("mission.sim_seconds").set(t_end);
-    obs::current().gauge("mission.wall_seconds").set(wall_seconds);
-  }
+  trace.finish(t_end);
   return out;
 }
 

@@ -216,11 +216,10 @@ struct AmgWorkspace::LevelOp {
 
 /// Each row sums in its stored order, so the result is partition-independent.
 template <typename RowFn>
-void AmgWorkspace::for_each_row(ThreadPool& pool, const LevelOp& op, const Vector& x,
-                                RowFn&& fn) {
+void AmgWorkspace::for_each_row(const LevelOp& op, const Vector& x, RowFn&& fn) {
   if (op.stencil) {
     const StencilMatrix& a = *op.stencil;
-    parallel_for(pool, 0, a.rows(), [&](std::size_t lo, std::size_t hi) {
+    parallel_for(0, a.rows(), [&](std::size_t lo, std::size_t hi) {
       a.for_each_row(lo, hi, x, fn);
     }, grain::Work::elements(a.nonzeros(), grain::Cost::kSpmv));
     return;
@@ -229,7 +228,7 @@ void AmgWorkspace::for_each_row(ThreadPool& pool, const LevelOp& op, const Vecto
     const auto& rp = op.csr->row_ptr();
     const auto& ci = op.csr->col_idx();
     const auto& av = op.csr->values();
-    parallel_for(pool, 0, op.csr->rows(), [&](std::size_t lo, std::size_t hi) {
+    parallel_for(0, op.csr->rows(), [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
         double ax = 0.0;
         for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) ax += av[k] * x[ci[k]];
@@ -242,7 +241,7 @@ void AmgWorkspace::for_each_row(ThreadPool& pool, const LevelOp& op, const Vecto
   const auto& ci = *op.col;
   const auto& av = *op.val;
   const Vector& d = *op.diag;
-  parallel_for(pool, 0, d.size(), [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, d.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       double ax = d[i] * x[i];
       for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) ax += av[k] * x[ci[k]];
@@ -267,24 +266,23 @@ AmgWorkspace::AmgWorkspace(const AmgHierarchy& hierarchy) : h_(&hierarchy) {
   }
 }
 
-void AmgWorkspace::refresh(ThreadPool& pool, const CsrMatrix& a) {
+void AmgWorkspace::refresh(const CsrMatrix& a) {
   if (a.rows() != h_->fine_rows_ || a.nonzeros() != h_->fine_nonzeros_)
     throw std::invalid_argument("AmgWorkspace::refresh: matrix does not match the hierarchy");
   obs::ScopedTimer span("numeric.amg.refresh");
   Vector d(a.rows());
   for (std::size_t i = 0; i < d.size(); ++i) d[i] = a.values()[h_->fine_diag_[i]];
-  refresh_levels(pool, d, a);
+  refresh_levels(d, a);
 }
 
-void AmgWorkspace::refresh(ThreadPool& pool, const StencilMatrix& a) {
+void AmgWorkspace::refresh(const StencilMatrix& a) {
   if (a.rows() != h_->fine_rows_ || a.nonzeros() != h_->fine_nonzeros_)
     throw std::invalid_argument("AmgWorkspace::refresh: matrix does not match the hierarchy");
   obs::ScopedTimer span("numeric.amg.refresh");
-  refresh_levels(pool, a.diagonal(), levels_.size() == 1 ? a.to_csr() : CsrMatrix());
+  refresh_levels(a.diagonal(), levels_.size() == 1 ? a.to_csr() : CsrMatrix());
 }
 
-void AmgWorkspace::refresh_levels(ThreadPool& pool, const Vector& fine_diag,
-                                  const CsrMatrix& fine) {
+void AmgWorkspace::refresh_levels(const Vector& fine_diag, const CsrMatrix& fine) {
   // Level by level: the diagonal (the caller's on the fine level), then the
   // damped-Jacobi scale. A coarse diagonal is the fixed intra-aggregate
   // coupling sum plus its members' finer diagonals, summed in member order.
@@ -294,7 +292,7 @@ void AmgWorkspace::refresh_levels(ThreadPool& pool, const Vector& fine_diag,
   for (std::size_t l = 0; l < levels_.size(); ++l) {
     LevelState& s = levels_[l];
     const AmgHierarchy::Level* lv = l > 0 ? &h_->coarse_[l - 1] : nullptr;
-    parallel_for(pool, 0, h_->rows(l), [&](std::size_t lo, std::size_t hi) {
+    parallel_for(0, h_->rows(l), [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
         double d = 0.0;
         if (lv) {
@@ -349,22 +347,20 @@ void AmgWorkspace::refresh_levels(ThreadPool& pool, const Vector& fine_diag,
   coarsest_.emplace(CsrMatrix(nc, nc, std::move(row_ptr), std::move(col), std::move(val)));
 }
 
-void AmgWorkspace::apply(ThreadPool& pool, const CsrMatrix& a, const Vector& r, Vector& x,
-                         Vector& z) {
+void AmgWorkspace::apply(const CsrMatrix& a, const Vector& r, Vector& x, Vector& z) {
   LevelOp fine;
   fine.csr = &a;
-  apply_fine(pool, fine, a.rows(), r, x, z);
+  apply_fine(fine, a.rows(), r, x, z);
 }
 
-void AmgWorkspace::apply(ThreadPool& pool, const StencilMatrix& a, const Vector& r, Vector& x,
-                         Vector& z) {
+void AmgWorkspace::apply(const StencilMatrix& a, const Vector& r, Vector& x, Vector& z) {
   LevelOp fine;
   fine.stencil = &a;
-  apply_fine(pool, fine, a.rows(), r, x, z);
+  apply_fine(fine, a.rows(), r, x, z);
 }
 
-void AmgWorkspace::apply_fine(ThreadPool& pool, const LevelOp& fine, std::size_t rows,
-                              const Vector& r, Vector& x, Vector& z) {
+void AmgWorkspace::apply_fine(const LevelOp& fine, std::size_t rows, const Vector& r,
+                              Vector& x, Vector& z) {
   if (!coarsest_) throw std::logic_error("AmgWorkspace::apply: refresh() first");
   if (r.size() != h_->fine_rows_ || rows != h_->fine_rows_ || x.size() != r.size())
     throw std::invalid_argument("AmgWorkspace::apply: size mismatch");
@@ -374,11 +370,11 @@ void AmgWorkspace::apply_fine(ThreadPool& pool, const LevelOp& fine, std::size_t
     z = coarsest_->solve(r);
     return;
   }
-  cycle(pool, 0, &fine, r, x, z);
+  cycle(0, &fine, r, x, z);
 }
 
-void AmgWorkspace::cycle(ThreadPool& pool, std::size_t level, const LevelOp* fine,
-                         const Vector& r, Vector& x, Vector& z) {
+void AmgWorkspace::cycle(std::size_t level, const LevelOp* fine, const Vector& r, Vector& x,
+                         Vector& z) {
   ++cycles_;
   LevelState& s = levels_[level];
   LevelState& next = levels_[level + 1];
@@ -394,8 +390,8 @@ void AmgWorkspace::cycle(ThreadPool& pool, std::size_t level, const LevelOp* fin
   // The residual of the pre-smoothed iterate (parked in z, which is written
   // last) is restricted by a gather over each aggregate's members in their
   // fixed order, reading each of the n finer rows once.
-  for_each_row(pool, op, x, [&](std::size_t i, double ax) { z[i] = r[i] - ax; });
-  parallel_for(pool, 0, next.rhs.size(), [&](std::size_t lo, std::size_t hi) {
+  for_each_row(op, x, [&](std::size_t i, double ax) { z[i] = r[i] - ax; });
+  parallel_for(0, next.rhs.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t c = lo; c < hi; ++c) {
       double sum = 0.0;
       for (std::size_t k = agg.member_ptr[c]; k < agg.member_ptr[c + 1]; ++k)
@@ -406,53 +402,52 @@ void AmgWorkspace::cycle(ThreadPool& pool, std::size_t level, const LevelOp* fin
   if (level + 2 == levels_.size()) {
     next.sol = coarsest_->solve(next.rhs);
   } else {
-    kcycle(pool, level + 1);
+    kcycle(level + 1);
   }
   // Prolongation (piecewise constant), then post-smoothing.
-  parallel_for(pool, 0, n, [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) x[i] += next.sol[agg.agg[i]];
   }, grain::Work::elements(n, grain::Cost::kStream));
-  for_each_row(pool, op, x,
+  for_each_row(op, x,
                [&](std::size_t i, double ax) { z[i] = x[i] + s.smooth[i] * (r[i] - ax); });
 }
 
-void AmgWorkspace::presmoothed_cycle(ThreadPool& pool, std::size_t level, const Vector& r,
-                                     Vector& z) {
+void AmgWorkspace::presmoothed_cycle(std::size_t level, const Vector& r, Vector& z) {
   LevelState& s = levels_[level];
-  parallel_for(pool, 0, r.size(), [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, r.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) s.x[i] = s.smooth[i] * r[i];
   }, grain::Work::elements(r.size(), grain::Cost::kStream));
-  cycle(pool, level, nullptr, r, s.x, z);
+  cycle(level, nullptr, r, s.x, z);
 }
-void AmgWorkspace::kcycle(ThreadPool& pool, std::size_t level) {
+void AmgWorkspace::kcycle(std::size_t level) {
   // Two flexible-CG steps on A_l e = rhs from e = 0, each preconditioned by
   // one level cycle (Notay & Vassilevski's K-cycle).
   LevelState& s = levels_[level];
   const AmgHierarchy::Level& lv = h_->coarse_[level - 1];
   const LevelOp op{nullptr, nullptr, &lv.row_ptr, &lv.col, &lv.val, &s.diag};
   const std::size_t n = s.rhs.size();
-  presmoothed_cycle(pool, level, s.rhs, s.c);
-  for_each_row(pool, op, s.c, [&](std::size_t i, double ax) { s.v[i] = ax; });
-  const double rho1 = parallel_dot(pool, s.c, s.v);
-  const double alpha1 = parallel_dot(pool, s.c, s.rhs);
+  presmoothed_cycle(level, s.rhs, s.c);
+  for_each_row(op, s.c, [&](std::size_t i, double ax) { s.v[i] = ax; });
+  const double rho1 = parallel_dot(s.c, s.v);
+  const double alpha1 = parallel_dot(s.c, s.rhs);
   if (!(rho1 > 0.0)) {
     std::fill(s.sol.begin(), s.sol.end(), 0.0);
     return;
   }
   const double a1 = alpha1 / rho1;
-  parallel_for(pool, 0, n, [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) s.r2[i] = s.rhs[i] - a1 * s.v[i];
   }, grain::Work::elements(n, grain::Cost::kStream));
-  presmoothed_cycle(pool, level, s.r2, s.d);
-  for_each_row(pool, op, s.d, [&](std::size_t i, double ax) { s.w[i] = ax; });
-  const double gamma = parallel_dot(pool, s.d, s.v);
-  const double beta = parallel_dot(pool, s.d, s.w);
-  const double alpha2 = parallel_dot(pool, s.d, s.r2);
+  presmoothed_cycle(level, s.r2, s.d);
+  for_each_row(op, s.d, [&](std::size_t i, double ax) { s.w[i] = ax; });
+  const double gamma = parallel_dot(s.d, s.v);
+  const double beta = parallel_dot(s.d, s.w);
+  const double alpha2 = parallel_dot(s.d, s.r2);
   const double rho2 = beta - gamma * gamma / rho1;
   // A second direction with no energy left keeps the first step alone.
   const double cd = rho2 > 0.0 ? alpha2 / rho2 : 0.0;
   const double cc = rho2 > 0.0 ? a1 - gamma * alpha2 / (rho1 * rho2) : a1;
-  parallel_for(pool, 0, n, [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) s.sol[i] = cc * s.c[i] + cd * s.d[i];
   }, grain::Work::elements(n, grain::Cost::kStream));
 }

@@ -93,8 +93,8 @@ class AmgWorkspace {
   /// factor. O(n); times the "numeric.amg.refresh" span. Throws
   /// std::invalid_argument on a size mismatch, std::domain_error if a
   /// diagonal is not positive.
-  void refresh(ThreadPool& pool, const CsrMatrix& a);
-  void refresh(ThreadPool& pool, const StencilMatrix& a);
+  void refresh(const CsrMatrix& a);
+  void refresh(const StencilMatrix& a);
 
   /// Fine-level damped-Jacobi scale, omega / diag, of the last refresh().
   const Vector& smoothing() const { return levels_.front().smooth; }
@@ -105,8 +105,8 @@ class AmgWorkspace {
   /// folds it into its residual update (cg_fused_update) — and is used as
   /// the cycle's iterate. z must alias neither r nor x
   /// (std::invalid_argument).
-  void apply(ThreadPool& pool, const CsrMatrix& a, const Vector& r, Vector& x, Vector& z);
-  void apply(ThreadPool& pool, const StencilMatrix& a, const Vector& r, Vector& x, Vector& z);
+  void apply(const CsrMatrix& a, const Vector& r, Vector& x, Vector& z);
+  void apply(const StencilMatrix& a, const Vector& r, Vector& x, Vector& z);
 
   /// Sum of every entry of the refreshed matrix, 1^T A 1: the net coupling
   /// of the whole domain to its sinks in an FV system. Read exactly off the
@@ -130,24 +130,24 @@ class AmgWorkspace {
   };
   /// One level's operator for a row sweep (defined in amg.cpp).
   struct LevelOp;
-  /// fn(i, (A x)_i) for every row of `op`, row-partitioned across the pool.
+  /// fn(i, (A x)_i) for every row of `op`, row-partitioned across the
+  /// current pool.
   template <typename RowFn>
-  static void for_each_row(ThreadPool& pool, const LevelOp& op, const Vector& x, RowFn&& fn);
+  static void for_each_row(const LevelOp& op, const Vector& x, RowFn&& fn);
   /// Smoother scales and coarse diagonals from the fine diagonal, then the
   /// coarsest factor (`fine` is the fine matrix itself, read only when it
   /// is the one level).
-  void refresh_levels(ThreadPool& pool, const Vector& fine_diag, const CsrMatrix& fine);
+  void refresh_levels(const Vector& fine_diag, const CsrMatrix& fine);
   /// Shape checks, then z = B r through the fine level `fine`.
-  void apply_fine(ThreadPool& pool, const LevelOp& fine, std::size_t rows, const Vector& r,
-                  Vector& x, Vector& z);
+  void apply_fine(const LevelOp& fine, std::size_t rows, const Vector& r, Vector& x,
+                  Vector& z);
   /// z = B_l r at `level` (`fine` is the level-0 operator, null below),
   /// with x = smoothing ∘ r already in place.
-  void cycle(ThreadPool& pool, std::size_t level, const LevelOp* fine, const Vector& r,
-             Vector& x, Vector& z);
+  void cycle(std::size_t level, const LevelOp* fine, const Vector& r, Vector& x, Vector& z);
   /// Pre-smooth r into the coarse level's iterate, then cycle().
-  void presmoothed_cycle(ThreadPool& pool, std::size_t level, const Vector& r, Vector& z);
+  void presmoothed_cycle(std::size_t level, const Vector& r, Vector& z);
   /// sol = K-cycle approximation of A_l^-1 rhs at a coarse `level`.
-  void kcycle(ThreadPool& pool, std::size_t level);
+  void kcycle(std::size_t level);
 
   const AmgHierarchy* h_;
   std::vector<LevelState> levels_;

@@ -1,20 +1,9 @@
 #include "numeric/grain.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 namespace aeropack::numeric::grain {
-
-bool disabled() {
-  static const bool off = [] {
-    const char* env = std::getenv("AEROPACK_GRAIN");
-    return env != nullptr &&
-           (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0);
-  }();
-  return off;
-}
 
 std::size_t hardware_parallelism() {
   static const std::size_t hw = [] {

@@ -76,11 +76,6 @@ struct Work {
 inline constexpr double kMinWorkToFanOut = 16384.0;
 inline constexpr double kMinWorkPerThread = 8192.0;
 
-/// True when the AEROPACK_GRAIN environment variable disables granularity
-/// gating (value "0" or "off"): every kernel then fans out across the full
-/// pool exactly as before this layer existed. Read once per process.
-bool disabled();
-
 /// Physical parallelism of this machine (hardware_concurrency, min 1).
 /// Fan-out is capped here even when the pool is larger: extra pool threads
 /// on a compute-bound kernel only oversubscribe cores — context switches
@@ -108,7 +103,7 @@ class ScopedForceFanOut {
 /// min(pool_threads, hardware_parallelism(), 1 + w / kMinWorkPerThread).
 inline std::size_t plan_threads(const Work& w, std::size_t pool_threads) {
   if (pool_threads <= 1) return 1;
-  if (disabled() || fan_out_forced()) return pool_threads;
+  if (fan_out_forced()) return pool_threads;
   if (w.units < kMinWorkToFanOut) return 1;
   const std::size_t hw = hardware_parallelism();
   const std::size_t cap = pool_threads < hw ? pool_threads : hw;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -17,6 +16,15 @@ namespace aeropack::numeric {
 
 namespace detail {
 thread_local constinit ThreadPool* t_pool = nullptr;
+
+ThreadPool& serial_pool() {
+  // Worker-less, so run() is an inline loop that touches no shared state:
+  // every unbound thread may drive it at once. Intentionally leaked (never
+  // a static object) so no thread can run a kernel on it after its
+  // destruction at exit.
+  static ThreadPool* const pool = new ThreadPool(1);
+  return *pool;
+}
 }  // namespace detail
 
 ThreadPool* exchange_current_pool(ThreadPool* p) {
@@ -26,23 +34,6 @@ ThreadPool* exchange_current_pool(ThreadPool* p) {
 }
 
 namespace {
-
-// Re-read on every call so set_thread_count(0) picks up AEROPACK_THREADS
-// changes made after startup (the restore path is pinned by tests).
-std::size_t default_thread_count() {
-  if (const char* env = std::getenv("AEROPACK_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
-
-std::size_t& thread_count_storage() {
-  static std::size_t n = default_thread_count();
-  return n;
-}
 
 // Spin budget before a thread gives up and parks on the condition variable:
 // a polite-pause phase (stays off the bus, leaves the core's SMT sibling
@@ -63,11 +54,6 @@ inline void cpu_relax() {
 }
 
 }  // namespace
-
-std::size_t thread_count() {
-  if (detail::t_pool != nullptr) return detail::t_pool->threads();
-  return thread_count_storage();
-}
 
 struct ThreadPool::Impl {
   // One cache line per worker: 1 while that worker is parked (or about to
@@ -176,10 +162,8 @@ struct ThreadPool::Impl {
   }
 
   // `seen` is job_seq when the worker was spawned, read by the spawning
-  // thread: workers spawned by resize() join a pool whose job_seq already
-  // advanced and must not drain an exhausted window, and a worker whose
-  // thread starts only after the next run() published its job must still
-  // take part in it. Safe: spawning never overlaps an in-flight job.
+  // thread: a worker whose thread starts only after the first run()
+  // published its job must still take part in it.
   void worker_loop(std::size_t self, std::uint64_t seen) {
     for (;;) {
       // Spin-then-park: catch back-to-back dispatches from a hot solver
@@ -229,8 +213,6 @@ struct ThreadPool::Impl {
     { std::lock_guard<std::mutex> lock(mutex); }
     cv_work.notify_all();
     for (std::thread& t : threads) t.join();
-    threads.clear();
-    stop.store(false, std::memory_order_relaxed);
   }
 };
 
@@ -242,35 +224,6 @@ ThreadPool::ThreadPool(std::size_t threads)
 ThreadPool::~ThreadPool() {
   impl_->join_all();
   delete impl_;
-}
-
-void ThreadPool::resize(std::size_t threads) {
-  if (threads == 0) threads = 1;
-  if (threads == this->threads()) return;
-  impl_->join_all();
-  workers_ = threads - 1;
-  impl_->spawn(workers_);
-}
-
-ThreadPool& ThreadPool::instance() {
-  // Process-lifetime pool, intentionally leaked at exit (never a static
-  // object) to avoid static-destruction-order races with user code. A
-  // thread-count change resizes this same object in place, so references
-  // returned here stay valid forever; sizing is still unsynchronized, so
-  // instance() and set_thread_count() must only be called from the single
-  // thread that drives the default pool's kernels.
-  static ThreadPool* const pool = new ThreadPool(thread_count_storage());
-  if (pool->threads() != thread_count_storage()) pool->resize(thread_count_storage());
-  return *pool;
-}
-
-void set_thread_count(std::size_t n) {
-  if (detail::t_pool != nullptr)
-    throw std::logic_error(
-        "numeric::set_thread_count: this thread is bound to an ExecutionContext "
-        "pool; set ExecutionConfig::threads when building the context instead");
-  thread_count_storage() = (n == 0) ? default_thread_count() : n;
-  ThreadPool::instance();  // resize eagerly so the next kernel is consistent
 }
 
 void ThreadPool::run(std::size_t n_tasks, const std::function<void(std::size_t)>& fn) {
@@ -330,7 +283,7 @@ void ThreadPool::run(std::size_t n_tasks, const std::function<void(std::size_t)>
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   grain::Work work) {
   if (begin >= end) return;
@@ -340,6 +293,7 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   const std::size_t n = end - begin;
   // Granularity gate: below the calibrated threshold the whole range runs
   // inline — identical results (elementwise kernels are exact), no dispatch.
+  ThreadPool& pool = current_pool();
   const std::size_t planned = grain::plan_threads(work, pool.threads());
   if (planned == 1 || n < 2) {
     for_chunks.add();
@@ -357,22 +311,11 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   });
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& fn) {
-  parallel_for(pool, begin, end, fn,
+  parallel_for(begin, end, fn,
                grain::Work::elements(end > begin ? end - begin : 0,
                                      grain::Cost::kStream));
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, std::size_t)>& fn,
-                  grain::Work work) {
-  parallel_for(current_pool(), begin, end, fn, work);
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
-  parallel_for(current_pool(), begin, end, fn);
 }
 
 namespace {
@@ -381,8 +324,7 @@ namespace {
 // per-chunk partial sums and their in-order combination are reproducible
 // bit-for-bit.
 template <typename ChunkSum>
-double chunked_reduce(ThreadPool& pool, std::size_t n, grain::Work work,
-                      ChunkSum&& chunk_sum) {
+double chunked_reduce(std::size_t n, grain::Work work, ChunkSum&& chunk_sum) {
   const std::size_t chunks = (n + kReductionChunk - 1) / kReductionChunk;
   if (chunks <= 1) return n == 0 ? 0.0 : chunk_sum(0, n);
   std::vector<double> partial(chunks, 0.0);
@@ -393,6 +335,7 @@ double chunked_reduce(ThreadPool& pool, std::size_t n, grain::Work work,
   };
   // The chunk layout is fixed; grain only decides who executes the chunks,
   // so the serial fallback is bit-identical to the fanned-out path.
+  ThreadPool& pool = current_pool();
   if (grain::plan_threads(work, pool.threads()) == 1) {
     for (std::size_t c = 0; c < chunks; ++c) fill(c);
   } else {
@@ -406,8 +349,8 @@ double chunked_reduce(ThreadPool& pool, std::size_t n, grain::Work work,
 /// Two-accumulator variant for the fused CG kernels: same fixed chunk
 /// layout, each partial pair summed in chunk order.
 template <typename ChunkSum>
-void chunked_reduce2(ThreadPool& pool, std::size_t n, grain::Work work,
-                     double& r0, double& r1, ChunkSum&& chunk_sum) {
+void chunked_reduce2(std::size_t n, grain::Work work, double& r0, double& r1,
+                     ChunkSum&& chunk_sum) {
   r0 = 0.0;
   r1 = 0.0;
   const std::size_t chunks = (n + kReductionChunk - 1) / kReductionChunk;
@@ -421,6 +364,7 @@ void chunked_reduce2(ThreadPool& pool, std::size_t n, grain::Work work,
     const std::size_t hi = std::min(lo + kReductionChunk, n);
     chunk_sum(lo, hi, p0[c], p1[c]);
   };
+  ThreadPool& pool = current_pool();
   if (grain::plan_threads(work, pool.threads()) == 1) {
     for (std::size_t c = 0; c < chunks; ++c) fill(c);
   } else {
@@ -437,14 +381,14 @@ void chunked_reduce2(ThreadPool& pool, std::size_t n, grain::Work work,
 
 }  // namespace
 
-double parallel_chunked_sum(ThreadPool& pool, std::size_t n, grain::Work work,
+double parallel_chunked_sum(std::size_t n, grain::Work work,
                             const std::function<double(std::size_t, std::size_t)>& chunk_sum) {
-  return chunked_reduce(pool, n, work, chunk_sum);
+  return chunked_reduce(n, work, chunk_sum);
 }
 
-double parallel_dot(ThreadPool& pool, const Vector& a, const Vector& b) {
+double parallel_dot(const Vector& a, const Vector& b) {
   if (a.size() != b.size()) throw std::invalid_argument("parallel_dot: size mismatch");
-  return chunked_reduce(pool, a.size(),
+  return chunked_reduce(a.size(),
                         grain::Work::elements(a.size(), grain::Cost::kDot),
                         [&](std::size_t lo, std::size_t hi) {
                           double s = 0.0;
@@ -453,18 +397,10 @@ double parallel_dot(ThreadPool& pool, const Vector& a, const Vector& b) {
                         });
 }
 
-double parallel_dot(const Vector& a, const Vector& b) {
-  return parallel_dot(current_pool(), a, b);
-}
+double parallel_norm2(const Vector& v) { return std::sqrt(parallel_dot(v, v)); }
 
-double parallel_norm2(ThreadPool& pool, const Vector& v) {
-  return std::sqrt(parallel_dot(pool, v, v));
-}
-
-double parallel_norm2(const Vector& v) { return parallel_norm2(current_pool(), v); }
-
-double parallel_sum(ThreadPool& pool, const Vector& v) {
-  return chunked_reduce(pool, v.size(), grain::Work::elements(v.size(), grain::Cost::kDot),
+double parallel_sum(const Vector& v) {
+  return chunked_reduce(v.size(), grain::Work::elements(v.size(), grain::Cost::kDot),
                         [&](std::size_t lo, std::size_t hi) {
                           double s = 0.0;
                           for (std::size_t i = lo; i < hi; ++i) s += v[i];
@@ -472,22 +408,17 @@ double parallel_sum(ThreadPool& pool, const Vector& v) {
                         });
 }
 
-void parallel_axpy(ThreadPool& pool, double alpha, const Vector& x, Vector& y) {
+void parallel_axpy(double alpha, const Vector& x, Vector& y) {
   if (x.size() != y.size()) throw std::invalid_argument("parallel_axpy: size mismatch");
-  parallel_for(pool, 0, x.size(),
+  parallel_for(0, x.size(),
                [&](std::size_t lo, std::size_t hi) {
                  for (std::size_t i = lo; i < hi; ++i) y[i] += alpha * x[i];
                },
                grain::Work::elements(x.size(), grain::Cost::kStream));
 }
 
-void parallel_axpy(double alpha, const Vector& x, Vector& y) {
-  parallel_axpy(current_pool(), alpha, x, y);
-}
-
-CgFused cg_fused_update(ThreadPool& pool, double alpha, const Vector& p,
-                        const Vector& ap, const Vector& inv_d, Vector& x,
-                        Vector& r, Vector& z) {
+CgFused cg_fused_update(double alpha, const Vector& p, const Vector& ap,
+                        const Vector& inv_d, Vector& x, Vector& r, Vector& z) {
   const std::size_t n = p.size();
   if (ap.size() != n || inv_d.size() != n || x.size() != n || r.size() != n ||
       z.size() != n)
@@ -496,8 +427,7 @@ CgFused cg_fused_update(ThreadPool& pool, double alpha, const Vector& p,
   // computing x[i] + alpha * (-ap[i]) would not.
   const double neg_alpha = -alpha;
   CgFused out;
-  chunked_reduce2(pool, n, grain::Work::elements(n, grain::Cost::kFusedCg),
-                  out.rr, out.rz,
+  chunked_reduce2(n, grain::Work::elements(n, grain::Cost::kFusedCg), out.rr, out.rz,
                   [&](std::size_t lo, std::size_t hi, double& s_rr, double& s_rz) {
                     double rr = 0.0, rz = 0.0;
                     for (std::size_t i = lo; i < hi; ++i) {
@@ -514,17 +444,11 @@ CgFused cg_fused_update(ThreadPool& pool, double alpha, const Vector& p,
   return out;
 }
 
-CgFused cg_fused_update(double alpha, const Vector& p, const Vector& ap,
-                        const Vector& inv_d, Vector& x, Vector& r, Vector& z) {
-  return cg_fused_update(current_pool(), alpha, p, ap, inv_d, x, r, z);
-}
-
-double fused_hadamard_dot(ThreadPool& pool, const Vector& d, const Vector& r,
-                          Vector& z) {
+double fused_hadamard_dot(const Vector& d, const Vector& r, Vector& z) {
   const std::size_t n = d.size();
   if (r.size() != n || z.size() != n)
     throw std::invalid_argument("fused_hadamard_dot: size mismatch");
-  return chunked_reduce(pool, n, grain::Work::elements(n, grain::Cost::kDot),
+  return chunked_reduce(n, grain::Work::elements(n, grain::Cost::kDot),
                         [&](std::size_t lo, std::size_t hi) {
                           double s = 0.0;
                           for (std::size_t i = lo; i < hi; ++i) {
@@ -534,10 +458,6 @@ double fused_hadamard_dot(ThreadPool& pool, const Vector& d, const Vector& r,
                           }
                           return s;
                         });
-}
-
-double fused_hadamard_dot(const Vector& d, const Vector& r, Vector& z) {
-  return fused_hadamard_dot(current_pool(), d, r, z);
 }
 
 }  // namespace aeropack::numeric

@@ -3,18 +3,13 @@
 //
 // Design constraints (see DESIGN.md "Threading model" and "Execution
 // contexts"):
-//  - Pools are first-class objects: every kernel has an overload taking the
-//    `ThreadPool&` it must run on, and the legacy free-function signatures
-//    resolve the calling thread's *current* pool — the one bound by
-//    aeropack::ExecutionContext::Use, defaulting to the process-wide
-//    ThreadPool::instance(). Concurrent solves on distinct pools from
-//    distinct threads are safe; one pool must still only be driven by one
-//    thread at a time.
-//  - The default pool's thread count comes from the AEROPACK_THREADS
-//    environment variable (default: hardware concurrency);
-//    set_thread_count() overrides at runtime and resizes the default pool
-//    IN PLACE, so references from ThreadPool::instance() stay valid across
-//    resizes for the whole process lifetime.
+//  - The calling thread's bound aeropack::ExecutionContext is the one thing
+//    that decides where kernels run: every kernel resolves current_pool(),
+//    the pool that ExecutionContext::Use bound. A thread with nothing bound
+//    runs kernels serially on one shared worker-less pool, which any number
+//    of threads may drive at once. Concurrent solves on distinct pools from
+//    distinct threads are safe; a pool with workers must still only be
+//    driven by one thread at a time.
 //  - Dispatch is granularity-aware (numeric/grain.hpp): every kernel
 //    estimates its work (elements × cost class) and runs as a plain serial
 //    loop below the calibrated fan-out threshold — small solves never touch
@@ -22,7 +17,7 @@
 //  - Workers use a bounded spin-then-park wakeup protocol (per-worker state
 //    word, exponential backoff to a condition variable), so a warm dispatch
 //    costs ~100 ns instead of a futex wake chain.
-//  - At n == 1 every entry point degrades to a plain serial loop — no pool,
+//  - On a 1-thread pool every entry point degrades to a plain serial loop —
 //    no synchronization, exceptions propagate directly.
 //  - Reductions (dot / norm2, and the fused CG kernels) accumulate
 //    fixed-size chunks and sum the per-chunk partials in chunk order, so the
@@ -43,32 +38,24 @@ namespace aeropack::numeric {
 class ThreadPool;
 
 namespace detail {
-/// Pool bound to this thread by ExecutionContext::Use; null means the
-/// process-wide default. Not touched directly — see current_pool() below.
-/// constinit, as obs::detail::t_current: reads go straight to the
-/// thread-local slot, not through the TLS wrapper whose result GCC 12's
-/// -fsanitize=null reported as a null ThreadPool*.
+/// Pool bound to this thread by ExecutionContext::Use; null means nothing is
+/// bound. Not touched directly — see current_pool() below. constinit, as
+/// obs::detail::t_current: reads go straight to the thread-local slot, not
+/// through the TLS wrapper whose result GCC 12's -fsanitize=null reported as
+/// a null ThreadPool*.
 extern thread_local constinit ThreadPool* t_pool;
+/// The one worker-less pool every unbound thread runs kernels on.
+ThreadPool& serial_pool();
 }  // namespace detail
-
-/// Number of threads parallel kernels on this thread will use (>= 1): the
-/// current pool's size when an ExecutionContext is bound, else the
-/// process-wide setting.
-std::size_t thread_count();
-
-/// Override the process-wide thread count; 0 restores the default, re-reading
-/// AEROPACK_THREADS (falling back to hardware concurrency). Must not be
-/// called concurrently with running parallel kernels, and throws
-/// std::logic_error when the calling thread is bound to an ExecutionContext
-/// pool (size that context instead). The default pool resizes in place:
-/// ThreadPool& references from instance() remain valid.
-void set_thread_count(std::size_t n);
 
 /// Static-partition pool: `threads - 1` persistent workers, the calling
 /// thread participates as the last worker. No work stealing — tasks are
 /// claimed from a shared atomic counter, which for the `parallel_for` use of
-/// one chunk per thread amounts to a static partition. One pool, one driving
-/// thread at a time; distinct pools may be driven concurrently.
+/// one chunk per thread amounts to a static partition. A pool with workers
+/// takes one driving thread at a time; distinct pools may be driven
+/// concurrently. A worker-less pool (1 thread) runs every job inline and
+/// shares no state between calls, so any number of threads may drive it at
+/// once.
 ///
 /// Wakeup: workers spin briefly on an atomic job sequence (cpu-relax, then
 /// yielding backoff), then park on a condition variable behind a per-worker
@@ -85,12 +72,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Process-wide pool sized by the set_thread_count() setting. The object
-  /// lives (at one address) for the whole process: set_thread_count()
-  /// resizes it in place, so holding the returned reference across a resize
-  /// is safe. Drive it from one thread at a time.
-  static ThreadPool& instance();
-
   std::size_t threads() const { return workers_ + 1; }
 
   /// Run fn(task_index) for every task_index in [0, n_tasks). Blocks until
@@ -99,24 +80,24 @@ class ThreadPool {
   void run(std::size_t n_tasks, const std::function<void(std::size_t)>& fn);
 
  private:
-  friend void set_thread_count(std::size_t);
-  /// Join all workers and respawn `threads - 1` new ones. Callable only
-  /// while no job is in flight on this pool.
-  void resize(std::size_t threads);
-
   struct Impl;
   Impl* impl_;
   std::size_t workers_ = 0;
 };
 
 /// Pool the parallel kernels of this thread run on: the one bound by
-/// ExecutionContext::Use, or the process default.
+/// ExecutionContext::Use, or the shared worker-less pool when nothing is
+/// bound.
 inline ThreadPool& current_pool() {
-  return detail::t_pool != nullptr ? *detail::t_pool : ThreadPool::instance();
+  return detail::t_pool != nullptr ? *detail::t_pool : detail::serial_pool();
 }
 
-/// Bind `p` as this thread's current pool (nullptr restores the process
-/// default); returns the previous binding. Prefer ExecutionContext::Use,
+/// Number of threads parallel kernels on this thread will use (>= 1): the
+/// bound pool's size, 1 when nothing is bound.
+inline std::size_t thread_count() { return current_pool().threads(); }
+
+/// Bind `p` as this thread's current pool (nullptr unbinds: kernels run
+/// serially); returns the previous binding. Prefer ExecutionContext::Use,
 /// which pairs this with the matching obs-registry binding.
 ThreadPool* exchange_current_pool(ThreadPool* p);
 
@@ -127,12 +108,7 @@ ThreadPool* exchange_current_pool(ThreadPool* p);
 /// the calibrated threshold the whole range runs as one inline serial call.
 /// The overloads without `work` assume one stream element per index — loops
 /// whose body is heavier per index (FV cell fills, SpMV rows) must pass an
-/// explicit estimate. The pool-less overloads run on current_pool().
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, std::size_t)>& fn,
-                  grain::Work work);
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
+/// explicit estimate. Runs on current_pool(), as every kernel below does.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   grain::Work work);
@@ -148,21 +124,18 @@ inline constexpr std::size_t kReductionChunk = 2048;
 /// that must return the same bits as parallel_dot (StencilMatrix::
 /// multiply_dot) partitions its work by these chunks too. `work` only
 /// decides whether the chunks fan out.
-double parallel_chunked_sum(ThreadPool& pool, std::size_t n, grain::Work work,
+double parallel_chunked_sum(std::size_t n, grain::Work work,
                             const std::function<double(std::size_t, std::size_t)>& chunk_sum);
 
 /// Deterministic chunked reductions. The chunk size is a compile-time
 /// constant (not thread-dependent), so results are identical across thread
 /// counts — and across pools — to the last bit.
-double parallel_dot(ThreadPool& pool, const Vector& a, const Vector& b);
 double parallel_dot(const Vector& a, const Vector& b);
-double parallel_norm2(ThreadPool& pool, const Vector& v);
 double parallel_norm2(const Vector& v);
 /// Sum of the elements (same fixed-chunk reduction).
-double parallel_sum(ThreadPool& pool, const Vector& v);
+double parallel_sum(const Vector& v);
 
 /// y += alpha * x, partitioned across threads (elementwise, exact).
-void parallel_axpy(ThreadPool& pool, double alpha, const Vector& x, Vector& y);
 void parallel_axpy(double alpha, const Vector& x, Vector& y);
 
 /// Fused single-pass CG kernels. Each replaces a sequence of axpy/hadamard
@@ -177,15 +150,10 @@ struct CgFused {
 };
 
 /// x += alpha*p; r += (-alpha)*ap; z = inv_d ∘ r; returns {<r,r>, <r,z>}.
-CgFused cg_fused_update(ThreadPool& pool, double alpha, const Vector& p,
-                        const Vector& ap, const Vector& inv_d, Vector& x,
-                        Vector& r, Vector& z);
 CgFused cg_fused_update(double alpha, const Vector& p, const Vector& ap,
                         const Vector& inv_d, Vector& x, Vector& r, Vector& z);
 
 /// z = d ∘ r; returns <r, z> (deterministic chunked reduction).
-double fused_hadamard_dot(ThreadPool& pool, const Vector& d, const Vector& r,
-                          Vector& z);
 double fused_hadamard_dot(const Vector& d, const Vector& r, Vector& z);
 
 }  // namespace aeropack::numeric

@@ -82,19 +82,13 @@ CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::size_t
     if (j >= cols_) throw std::invalid_argument("CsrMatrix: column index out of range");
 }
 
-Vector CsrMatrix::multiply(const Vector& x) const { return multiply(current_pool(), x); }
-
-Vector CsrMatrix::multiply(ThreadPool& pool, const Vector& x) const {
+Vector CsrMatrix::multiply(const Vector& x) const {
   Vector y;
-  multiply(pool, x, y);
+  multiply(x, y);
   return y;
 }
 
 void CsrMatrix::multiply(const Vector& x, Vector& y) const {
-  multiply(current_pool(), x, y);
-}
-
-void CsrMatrix::multiply(ThreadPool& pool, const Vector& x, Vector& y) const {
   if (x.size() != cols_) throw std::invalid_argument("CsrMatrix::multiply: size mismatch");
   assert(&x != &y && "CsrMatrix::multiply: y must not alias x");
   static thread_local obs::CounterHandle spmv_calls{"numeric.spmv.calls"};
@@ -104,7 +98,7 @@ void CsrMatrix::multiply(ThreadPool& pool, const Vector& x, Vector& y) const {
   const std::vector<std::size_t>& ci = pattern_->col_idx;
   // Grain estimate by nonzeros, not rows: the per-row work is the row's
   // nonzero count, and the row partition is what fans out.
-  parallel_for(pool, 0, rows_,
+  parallel_for(0, rows_,
                [&](std::size_t lo, std::size_t hi) {
                  for (std::size_t i = lo; i < hi; ++i) {
                    double acc = 0.0;
@@ -127,7 +121,7 @@ void CsrMatrix::multiply_block(const std::vector<double>& x, std::vector<double>
   const std::vector<std::size_t>& ci = pattern_->col_idx;
   // Column c of row i starts at 0 and accumulates values_[k] * x[ci[k]] in
   // k order, exactly as multiply() does.
-  parallel_for(current_pool(), 0, rows_,
+  parallel_for(0, rows_,
                [&](std::size_t lo, std::size_t hi) {
                  for (std::size_t i = lo; i < hi; ++i)
                    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k)
@@ -211,12 +205,12 @@ const Vector& diagonal_of(const StencilMatrix& a) { return a.diagonal(); }
 
 /// q = A p and <p, q>: the stencil fuses the two into one sweep per
 /// reduction chunk, with the same bits as the separate kernels.
-double multiply_dot(ThreadPool& pool, const CsrMatrix& a, const Vector& p, Vector& q) {
-  a.multiply(pool, p, q);
-  return parallel_dot(pool, p, q);
+double multiply_dot(const CsrMatrix& a, const Vector& p, Vector& q) {
+  a.multiply(p, q);
+  return parallel_dot(p, q);
 }
-double multiply_dot(ThreadPool& pool, const StencilMatrix& a, const Vector& p, Vector& q) {
-  return a.multiply_dot(pool, p, q);
+double multiply_dot(const StencilMatrix& a, const Vector& p, Vector& q) {
+  return a.multiply_dot(p, q);
 }
 
 Vector jacobi_preconditioner(Vector inv_d) {
@@ -228,14 +222,14 @@ Vector jacobi_preconditioner(Vector inv_d) {
 /// and the warm-start residual. Leaves r = b - A x0 and returns true when
 /// `res` still needs iterating.
 template <typename Op>
-bool cg_start(ThreadPool& pool, const Op& a, const Vector& b, const IterativeOptions& opts,
+bool cg_start(const Op& a, const Vector& b, const IterativeOptions& opts,
               const Vector* x0, IterativeResult& res, Vector& r, double& bnorm) {
   if (a.rows() != a.cols() || b.size() != a.rows())
     throw std::invalid_argument("conjugate_gradient: shape mismatch");
   if (x0 && x0->size() != b.size())
     throw std::invalid_argument("conjugate_gradient: warm-start size mismatch");
   const std::size_t n = b.size();
-  bnorm = parallel_norm2(pool, b);
+  bnorm = parallel_norm2(b);
   if (bnorm == 0.0) {
     res.x.assign(n, 0.0);
     res.converged = true;
@@ -244,11 +238,11 @@ bool cg_start(ThreadPool& pool, const Op& a, const Vector& b, const IterativeOpt
   res.x = x0 ? *x0 : Vector(n, 0.0);
   r.resize(n);
   if (x0) {
-    a.multiply(pool, res.x, r);  // r = b - A x0
-    parallel_for(pool, 0, n, [&](std::size_t lo, std::size_t hi) {
+    a.multiply(res.x, r);  // r = b - A x0
+    parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) r[i] = b[i] - r[i];
     });
-    res.residual = parallel_norm2(pool, r) / bnorm;
+    res.residual = parallel_norm2(r) / bnorm;
     if (res.residual < opts.tolerance) {
       res.converged = true;  // warm start already good enough
       return false;
@@ -260,27 +254,27 @@ bool cg_start(ThreadPool& pool, const Op& a, const Vector& b, const IterativeOpt
 }
 
 template <typename Op>
-IterativeResult jacobi_cg(ThreadPool& pool, const Op& a, const Vector& b,
-                          const IterativeOptions& opts, const Vector* x0) {
+IterativeResult jacobi_cg(const Op& a, const Vector& b, const IterativeOptions& opts,
+                          const Vector* x0) {
   IterativeResult res;
   Vector r;
   double bnorm = 0.0;
-  if (!cg_start(pool, a, b, opts, x0, res, r, bnorm)) return res;
+  if (!cg_start(a, b, opts, x0, res, r, bnorm)) return res;
   const std::size_t n = b.size();
   const Vector inv_d = jacobi_preconditioner(diagonal_of(a));
   Vector z(n);
-  double rz = fused_hadamard_dot(pool, inv_d, r, z);
+  double rz = fused_hadamard_dot(inv_d, r, z);
   Vector p = z;
   Vector ap(n);
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    const double pap = multiply_dot(pool, a, p, ap);
+    const double pap = multiply_dot(a, p, ap);
     if (pap <= 0.0) break;  // not SPD (or breakdown)
     const double alpha = rz / pap;
     // One fused sweep replaces two axpys, a hadamard and two dots: updates
     // x and r, refreshes D^-1 r, and returns <r,r> and <r, D^-1 r> through
     // the same fixed-chunk in-order reduction the separate kernels used —
     // iterates and residuals are bit-identical to the unfused loop.
-    const CgFused f = cg_fused_update(pool, alpha, p, ap, inv_d, res.x, r, z);
+    const CgFused f = cg_fused_update(alpha, p, ap, inv_d, res.x, r, z);
     res.iterations = it + 1;
     res.residual = std::sqrt(f.rr) / bnorm;
     if (res.residual < opts.tolerance) {
@@ -289,7 +283,7 @@ IterativeResult jacobi_cg(ThreadPool& pool, const Op& a, const Vector& b,
     }
     const double beta = f.rz / rz;
     rz = f.rz;
-    parallel_for(pool, 0, n, [&](std::size_t lo, std::size_t hi) {
+    parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) p[i] = z[i] + beta * p[i];
     });
   }
@@ -305,15 +299,14 @@ IterativeResult jacobi_cg(ThreadPool& pool, const Op& a, const Vector& b,
 /// slab, against ~3e-8 W for Jacobi-CG, whose last error oscillates).
 /// r is recomputed as the true residual.
 template <typename Op>
-void conserve(ThreadPool& pool, const Op& a, const Vector& b, double total_coupling, Vector& x,
-              Vector& r) {
+void conserve(const Op& a, const Vector& b, double total_coupling, Vector& x, Vector& r) {
   if (!(total_coupling > 0.0)) return;  // no net coupling to a sink
-  const double c = parallel_sum(pool, r) / total_coupling;
-  parallel_for(pool, 0, x.size(), [&](std::size_t lo, std::size_t hi) {
+  const double c = parallel_sum(r) / total_coupling;
+  parallel_for(0, x.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) x[i] += c;
   });
-  a.multiply(pool, x, r);
-  parallel_for(pool, 0, r.size(), [&](std::size_t lo, std::size_t hi) {
+  a.multiply(x, r);
+  parallel_for(0, r.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) r[i] = b[i] - r[i];
   });
 }
@@ -324,42 +317,42 @@ void conserve(ThreadPool& pool, const Op& a, const Vector& b, double total_coupl
 /// r_k - r_{k-1} = -alpha q that is -<z_k, q> / <p, q>, read off the q the
 /// iteration already holds.
 template <typename Op>
-IterativeResult amg_cg(ThreadPool& pool, const Op& a, const Vector& b,
-                       const IterativeOptions& opts, const Vector* x0, AmgWorkspace& amg) {
+IterativeResult amg_cg(const Op& a, const Vector& b, const IterativeOptions& opts,
+                       const Vector* x0, AmgWorkspace& amg) {
   IterativeResult res;
   Vector r;
   double bnorm = 0.0;
-  if (!cg_start(pool, a, b, opts, x0, res, r, bnorm)) return res;
+  if (!cg_start(a, b, opts, x0, res, r, bnorm)) return res;
   const std::size_t n = b.size();
-  amg.refresh(pool, a);
+  amg.refresh(a);
   // xs is the fine pre-smoothing sweep smoothing() ∘ r that every cycle
   // starts from; after the first it rides the fused residual update.
   Vector xs(n), z(n), q(n);
-  (void)fused_hadamard_dot(pool, amg.smoothing(), r, xs);
-  amg.apply(pool, a, r, xs, z);
-  double rz = parallel_dot(pool, r, z);
+  (void)fused_hadamard_dot(amg.smoothing(), r, xs);
+  amg.apply(a, r, xs, z);
+  double rz = parallel_dot(r, z);
   Vector p = z;
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    const double pq = multiply_dot(pool, a, p, q);
+    const double pq = multiply_dot(a, p, q);
     if (pq <= 0.0) break;  // not SPD (or breakdown)
     const double alpha = rz / pq;
-    const CgFused f = cg_fused_update(pool, alpha, p, q, amg.smoothing(), res.x, r, xs);
+    const CgFused f = cg_fused_update(alpha, p, q, amg.smoothing(), res.x, r, xs);
     res.iterations = it + 1;
     res.residual = std::sqrt(f.rr) / bnorm;
     if (res.residual < opts.tolerance) {
-      conserve(pool, a, b, amg.total_coupling(), res.x, r);
-      res.residual = parallel_norm2(pool, r) / bnorm;
+      conserve(a, b, amg.total_coupling(), res.x, r);
+      res.residual = parallel_norm2(r) / bnorm;
       if (res.residual < opts.tolerance) {
         res.converged = true;
         return res;
       }
       // Not seen in practice: keep iterating from the corrected iterate.
-      (void)fused_hadamard_dot(pool, amg.smoothing(), r, xs);
+      (void)fused_hadamard_dot(amg.smoothing(), r, xs);
     }
-    amg.apply(pool, a, r, xs, z);
-    rz = parallel_dot(pool, r, z);
-    const double beta = -parallel_dot(pool, z, q) / pq;
-    parallel_for(pool, 0, n, [&](std::size_t lo, std::size_t hi) {
+    amg.apply(a, r, xs, z);
+    rz = parallel_dot(r, z);
+    const double beta = -parallel_dot(z, q) / pq;
+    parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) p[i] = z[i] + beta * p[i];
     });
   }
@@ -367,15 +360,15 @@ IterativeResult amg_cg(ThreadPool& pool, const Op& a, const Vector& b,
 }
 
 template <typename Op>
-IterativeResult solve_cg(ThreadPool& pool, const Op& a, const Vector& b,
-                         const IterativeOptions& opts, const Vector* x0, AmgWorkspace* amg) {
+IterativeResult solve_cg(const Op& a, const Vector& b, const IterativeOptions& opts,
+                         const Vector* x0, AmgWorkspace* amg) {
   static thread_local obs::CounterHandle cg_solves{"numeric.cg.solves"};
   static thread_local obs::CounterHandle cg_iters{"numeric.cg.iterations"};
   static thread_local obs::CounterHandle cg_warm{"numeric.cg.warmstart_hits"};
   obs::ScopedTimer span("numeric.cg");
   const std::uint64_t cycles0 = amg ? amg->cycles() : 0;
   const IterativeResult res =
-      amg ? amg_cg(pool, a, b, opts, x0, *amg) : jacobi_cg(pool, a, b, opts, x0);
+      amg ? amg_cg(a, b, opts, x0, *amg) : jacobi_cg(a, b, opts, x0);
   if (amg) {
     static thread_local obs::CounterHandle amg_cycles{"numeric.amg.cycles"};
     amg_cycles.add(amg->cycles() - cycles0);
@@ -399,25 +392,13 @@ IterativeResult solve_cg(ThreadPool& pool, const Op& a, const Vector& b,
 IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts, const Vector* x0,
                                    AmgWorkspace* amg) {
-  return solve_cg(current_pool(), a, b, opts, x0, amg);
-}
-
-IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
-                                   const IterativeOptions& opts, const Vector* x0,
-                                   AmgWorkspace* amg) {
-  return solve_cg(pool, a, b, opts, x0, amg);
+  return solve_cg(a, b, opts, x0, amg);
 }
 
 IterativeResult conjugate_gradient(const StencilMatrix& a, const Vector& b,
                                    const IterativeOptions& opts, const Vector* x0,
                                    AmgWorkspace* amg) {
-  return solve_cg(current_pool(), a, b, opts, x0, amg);
-}
-
-IterativeResult conjugate_gradient(ThreadPool& pool, const StencilMatrix& a, const Vector& b,
-                                   const IterativeOptions& opts, const Vector* x0,
-                                   AmgWorkspace* amg) {
-  return solve_cg(pool, a, b, opts, x0, amg);
+  return solve_cg(a, b, opts, x0, amg);
 }
 
 }  // namespace aeropack::numeric

@@ -15,7 +15,6 @@ namespace aeropack::numeric {
 class AmgWorkspace;
 class CsrMatrix;
 class StencilMatrix;
-class ThreadPool;
 
 /// Coordinate-format accumulator; duplicate (i,j) entries are summed on
 /// build, in the order they were added. build() orders the entries with two
@@ -63,16 +62,13 @@ class CsrMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return values_.size(); }
 
-  /// y = A x. Row-partitioned across threads (see numeric/parallel.hpp);
-  /// each row's accumulation order is fixed, so the result is identical
-  /// for every thread count. The pool-less overloads run on the calling
-  /// thread's current pool.
+  /// y = A x. Row-partitioned across the calling thread's current pool
+  /// (see numeric/parallel.hpp); each row's accumulation order is fixed, so
+  /// the result is identical for every thread count.
   Vector multiply(const Vector& x) const;
-  Vector multiply(ThreadPool& pool, const Vector& x) const;
   /// y = A x without allocating (y is resized to rows()). y must not alias
   /// x: y is zeroed up front, before other threads' row chunks read x.
   void multiply(const Vector& x, Vector& y) const;
-  void multiply(ThreadPool& pool, const Vector& x, Vector& y) const;
   /// Y = A X for q vectors held row-major: x[j * q + c] is entry j of
   /// column c, and y (resized to rows() * q) is laid out the same way. Each
   /// column is bitwise equal to multiply() on it alone, and the call counts
@@ -127,8 +123,8 @@ struct IterativeOptions {
 /// the FV thermal solver pass the previous pass/step solution, cutting the
 /// inner iteration count sharply. SpMV and all reductions run on the
 /// parallel layer with deterministic chunked partial sums, so the returned
-/// solution is bit-identical across thread counts — and across pools. The
-/// pool-less overloads run on the calling thread's current pool.
+/// solution is bit-identical across thread counts — and across pools. It
+/// runs on the calling thread's current pool.
 ///
 /// With `amg` null this is the fused Jacobi-preconditioned loop. A non-null
 /// AMG workspace (numeric/amg.hpp) is first refreshed from `a`, whose
@@ -143,13 +139,7 @@ struct IterativeOptions {
 IterativeResult conjugate_gradient(const CsrMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
                                    const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
-IterativeResult conjugate_gradient(ThreadPool& pool, const CsrMatrix& a, const Vector& b,
-                                   const IterativeOptions& opts = {},
-                                   const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
 IterativeResult conjugate_gradient(const StencilMatrix& a, const Vector& b,
-                                   const IterativeOptions& opts = {},
-                                   const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
-IterativeResult conjugate_gradient(ThreadPool& pool, const StencilMatrix& a, const Vector& b,
                                    const IterativeOptions& opts = {},
                                    const Vector* x0 = nullptr, AmgWorkspace* amg = nullptr);
 

@@ -44,21 +44,17 @@ std::size_t StencilMatrix::cost_bytes() const {
 
 Vector StencilMatrix::multiply(const Vector& x) const {
   Vector y;
-  multiply(current_pool(), x, y);
+  multiply(x, y);
   return y;
 }
 
 void StencilMatrix::multiply(const Vector& x, Vector& y) const {
-  multiply(current_pool(), x, y);
-}
-
-void StencilMatrix::multiply(ThreadPool& pool, const Vector& x, Vector& y) const {
   if (x.size() != cols()) throw std::invalid_argument("StencilMatrix::multiply: size mismatch");
   assert(&x != &y && "StencilMatrix::multiply: y must not alias x");
   static thread_local obs::CounterHandle spmv_calls{"numeric.spmv.calls"};
   spmv_calls.add();
   y.resize(rows());
-  parallel_for(pool, 0, rows(),
+  parallel_for(0, rows(),
                [&](std::size_t lo, std::size_t hi) {
                  for_each_row(lo, hi, x, [&](std::size_t c, double ax) { y[c] = ax; });
                },
@@ -66,10 +62,6 @@ void StencilMatrix::multiply(ThreadPool& pool, const Vector& x, Vector& y) const
 }
 
 double StencilMatrix::multiply_dot(const Vector& x, Vector& y) const {
-  return multiply_dot(current_pool(), x, y);
-}
-
-double StencilMatrix::multiply_dot(ThreadPool& pool, const Vector& x, Vector& y) const {
   if (x.size() != cols())
     throw std::invalid_argument("StencilMatrix::multiply_dot: size mismatch");
   assert(&x != &y && "StencilMatrix::multiply_dot: y must not alias x");
@@ -79,7 +71,7 @@ double StencilMatrix::multiply_dot(ThreadPool& pool, const Vector& x, Vector& y)
   // Each chunk's rows are written, then dotted while still in cache: the
   // partial is parallel_dot's, term for term.
   return parallel_chunked_sum(
-      pool, rows(), grain::Work::elements(nonzeros() + rows(), grain::Cost::kSpmv),
+      rows(), grain::Work::elements(nonzeros() + rows(), grain::Cost::kSpmv),
       [&](std::size_t lo, std::size_t hi) {
         for_each_row(lo, hi, x, [&](std::size_t c, double ax) { y[c] = ax; });
         double s = 0.0;

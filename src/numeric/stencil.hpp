@@ -32,8 +32,6 @@
 
 namespace aeropack::numeric {
 
-class ThreadPool;
-
 class StencilMatrix {
  public:
   StencilMatrix() = default;
@@ -62,19 +60,17 @@ class StencilMatrix {
   const Vector& coupling_y() const { return c_->y; }
   const Vector& coupling_z() const { return c_->z; }
 
-  /// y = A x (y resized to rows(); must not alias x). Row-partitioned;
-  /// counts one "numeric.spmv.calls". The pool-less overloads run on the
-  /// calling thread's current pool.
+  /// y = A x (y resized to rows(); must not alias x). Row-partitioned
+  /// across the calling thread's current pool; counts one
+  /// "numeric.spmv.calls".
   Vector multiply(const Vector& x) const;
   void multiply(const Vector& x, Vector& y) const;
-  void multiply(ThreadPool& pool, const Vector& x, Vector& y) const;
 
   /// y = A x and returns <x, y>: one sweep per fixed reduction chunk
   /// (kReductionChunk rows), each chunk's partial summed like parallel_dot,
   /// so the pair is bitwise equal to multiply() then parallel_dot(x, y).
   /// Counts one "numeric.spmv.calls".
   double multiply_dot(const Vector& x, Vector& y) const;
-  double multiply_dot(ThreadPool& pool, const Vector& x, Vector& y) const;
 
   /// fn(c, (A x)_c) for every row c in [lo, hi), in row order, on the
   /// calling thread. The row sweep of fused kernels (multigrid smoothing

@@ -42,7 +42,7 @@ TEST(ExecutionContext, FreshContextOwnsPoolAndRegistry) {
   ExecutionContext ctx(cfg);
   EXPECT_EQ(ctx.threads(), 2u);
   EXPECT_TRUE(ctx.metrics().enabled());
-  EXPECT_NE(&ctx.pool(), &an::ThreadPool::instance());
+  EXPECT_NE(&ctx.pool(), &an::current_pool());  // the unbound, worker-less pool
   EXPECT_NE(&ctx.metrics(), &obs::Registry::instance());
 }
 
@@ -62,6 +62,7 @@ TEST(ExecutionContext, DefaultConfigIsSerialAndDormant) {
 TEST(ExecutionContext, UseBindsPoolAndRegistryAndRestores) {
   an::ThreadPool& default_pool = an::current_pool();
   obs::Registry& default_reg = obs::current();
+  EXPECT_EQ(an::thread_count(), 1u);  // nothing bound: kernels run serially
   ExecutionConfig cfg;
   cfg.threads = 3;
   ExecutionContext ctx(cfg);
@@ -73,6 +74,7 @@ TEST(ExecutionContext, UseBindsPoolAndRegistryAndRestores) {
   }
   EXPECT_EQ(&an::current_pool(), &default_pool);
   EXPECT_EQ(&obs::current(), &default_reg);
+  EXPECT_EQ(an::thread_count(), 1u);
 }
 
 TEST(ExecutionContext, UseNestsAndRestoresInReverse) {
@@ -88,12 +90,6 @@ TEST(ExecutionContext, UseNestsAndRestoresInReverse) {
     EXPECT_EQ(&obs::current(), &a.metrics());
     EXPECT_EQ(&an::current_pool(), &a.pool());
   }
-}
-
-TEST(ExecutionContext, SetThreadCountRefusesWhileBound) {
-  ExecutionContext ctx;
-  const ExecutionContext::Use use(ctx);
-  EXPECT_THROW(an::set_thread_count(2), std::logic_error);
 }
 
 TEST(ExecutionContext, KernelsRunOnTheBoundPool) {

@@ -105,15 +105,14 @@ TEST(ModalSparse, SparseFundamentalTracksAnalyticSolution) {
 }
 
 TEST(ModalSparse, BitIdenticalAcrossThreadCounts) {
-  const std::size_t original = an::thread_count();
   const auto plate = ps_board(1.6e-3, 2.0);
   af::ModalOptions opts;
   opts.n_modes = 5;
 
-  an::set_thread_count(1);
-  const auto baseline = plate.solve_modal(opts);
+  const auto baseline = plate.solve_modal(opts);  // serial: nothing bound
   for (const std::size_t threads : {2u, 8u}) {
-    an::set_thread_count(threads);
+    ExecutionContext ctx(ExecutionConfig{threads, false});
+    const ExecutionContext::Use bind(ctx);
     const auto run = plate.solve_modal(opts);
     ASSERT_EQ(run.frequencies_hz.size(), baseline.frequencies_hz.size());
     for (std::size_t j = 0; j < baseline.frequencies_hz.size(); ++j) {
@@ -127,7 +126,6 @@ TEST(ModalSparse, BitIdenticalAcrossThreadCounts) {
         ASSERT_EQ(run.shapes(i, j), baseline.shapes(i, j))
             << "threads=" << threads << " mode=" << j << " dof=" << i;
   }
-  an::set_thread_count(original);
 }
 
 namespace {

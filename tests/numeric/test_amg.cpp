@@ -122,15 +122,15 @@ TEST(AmgHierarchy, RejectsMatricesItCannotCoarsen) {
 TEST(AmgWorkspace, RefreshRefusesAForeignMatrixAndANonPositiveDiagonal) {
   const an::AmgHierarchy h(laplacian(12, 1e-3));
   an::AmgWorkspace ws(h);
-  EXPECT_THROW(ws.refresh(an::current_pool(), laplacian(10, 1e-3)), std::invalid_argument);
+  EXPECT_THROW(ws.refresh(laplacian(10, 1e-3)), std::invalid_argument);
   an::CsrMatrix bad = laplacian(12, 1e-3);
   bad.values()[0] = -1.0;  // row 0's diagonal (its first stored column)
-  EXPECT_THROW(ws.refresh(an::current_pool(), bad), std::domain_error);
+  EXPECT_THROW(ws.refresh(bad), std::domain_error);
   const an::Vector r(h.rows(0), 1.0);
   an::Vector x(h.rows(0), 0.0), z;
-  EXPECT_THROW(ws.apply(an::current_pool(), bad, r, x, z), std::logic_error);  // never refreshed
-  ws.refresh(an::current_pool(), laplacian(12, 1e-3));
-  EXPECT_THROW(ws.apply(an::current_pool(), bad, r, x, x), std::invalid_argument);  // z aliases x
+  EXPECT_THROW(ws.apply(bad, r, x, z), std::logic_error);  // never refreshed
+  ws.refresh(laplacian(12, 1e-3));
+  EXPECT_THROW(ws.apply(bad, r, x, x), std::invalid_argument);  // z aliases x
 }
 
 TEST(AmgWorkspace, ReusedWorkspaceSolvesExactlyAsAFreshOne) {

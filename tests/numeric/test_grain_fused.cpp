@@ -12,23 +12,17 @@
 #include <thread>
 #include <vector>
 
+#include "exec/context.hpp"
 #include "numeric/grain.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/stats.hpp"
 
 namespace an = aeropack::numeric;
 namespace grain = an::grain;
+using aeropack::ExecutionConfig;
+using aeropack::ExecutionContext;
 
 namespace {
-
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(an::thread_count()) {}
-  ~ThreadCountGuard() { an::set_thread_count(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 an::Vector random_vector(std::size_t n, unsigned seed) {
   an::Rng rng(seed);
@@ -81,19 +75,18 @@ TEST(Grain, ScopedForceFanOutOverridesTheGate) {
 TEST(Grain, SerialThresholdBoundaryIsBitInvisible) {
   // Sizes straddling the fan-out boundary for each cost class: the dispatch
   // decision flips between n-1 and n+1, the bits must not.
-  ThreadCountGuard guard;
   for (const grain::Cost c : {grain::Cost::kDot, grain::Cost::kStream}) {
     const std::size_t boundary = grain::fan_out_elements(c);
     for (const std::size_t n : {boundary - 1, boundary, boundary + 1}) {
       const an::Vector x = random_vector(n, 11u + static_cast<unsigned>(n));
       const an::Vector y = random_vector(n, 23u + static_cast<unsigned>(n));
-      an::set_thread_count(1);
       const double serial_dot = an::parallel_dot(x, y);
       const double serial_norm = an::parallel_norm2(x);
       an::Vector serial_axpy = y;
       an::parallel_axpy(0.37, x, serial_axpy);
       for (const std::size_t t : kThreadSweep) {
-        an::set_thread_count(t);
+        ExecutionContext ctx(ExecutionConfig{t, false});
+        const ExecutionContext::Use bind(ctx);
         EXPECT_EQ(an::parallel_dot(x, y), serial_dot) << "n=" << n << " t=" << t;
         EXPECT_EQ(an::parallel_norm2(x), serial_norm) << "n=" << n << " t=" << t;
         an::Vector z = y;
@@ -108,8 +101,8 @@ TEST(Grain, ForcedFanOutMatchesSerialBits) {
   // The same reduction with the gate forced open (real pool chunks) and
   // naturally closed (serial fallback) — the fixed-chunk summation order
   // makes them identical, which is the whole determinism contract.
-  ThreadCountGuard guard;
-  an::set_thread_count(8);
+  ExecutionContext ctx(ExecutionConfig{8, false});
+  const ExecutionContext::Use bind(ctx);
   const std::size_t n = 4096;  // well below the fan-out threshold
   const an::Vector x = random_vector(n, 5);
   const an::Vector y = random_vector(n, 7);
@@ -126,7 +119,6 @@ TEST(FusedCg, UpdateMatchesUnfusedSequenceBitwise) {
   // cg_fused_update must reproduce, bit for bit, the four-kernel sequence it
   // replaced: x += alpha p; r += (-alpha) ap; z = inv_d ∘ r; rr = <r,r>;
   // rz = <r,z> — at every thread count, forced through the real pool.
-  ThreadCountGuard guard;
   const std::size_t n = 50000;
   const double alpha = 0.8235;
   const an::Vector p = random_vector(n, 1);
@@ -134,8 +126,7 @@ TEST(FusedCg, UpdateMatchesUnfusedSequenceBitwise) {
   an::Vector inv_d = random_vector(n, 3);
   for (double& d : inv_d) d = 1.0 + d * d;  // positive diagonal
 
-  // Unfused reference at 1 thread.
-  an::set_thread_count(1);
+  // Unfused reference, serial (nothing bound).
   an::Vector x_ref = random_vector(n, 4);
   an::Vector r_ref = random_vector(n, 5);
   an::parallel_axpy(alpha, p, x_ref);
@@ -147,12 +138,12 @@ TEST(FusedCg, UpdateMatchesUnfusedSequenceBitwise) {
 
   grain::ScopedForceFanOut force;
   for (const std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     an::Vector x = random_vector(n, 4);
     an::Vector r = random_vector(n, 5);
     an::Vector z(n);
-    const an::CgFused f =
-        an::cg_fused_update(an::ThreadPool::instance(), alpha, p, ap, inv_d, x, r, z);
+    const an::CgFused f = an::cg_fused_update(alpha, p, ap, inv_d, x, r, z);
     EXPECT_EQ(x, x_ref) << "t=" << t;
     EXPECT_EQ(r, r_ref) << "t=" << t;
     EXPECT_EQ(z, z_ref) << "t=" << t;
@@ -162,22 +153,21 @@ TEST(FusedCg, UpdateMatchesUnfusedSequenceBitwise) {
 }
 
 TEST(FusedCg, HadamardDotMatchesUnfusedBitwise) {
-  ThreadCountGuard guard;
   const std::size_t n = 50000;
   an::Vector d = random_vector(n, 8);
   for (double& v : d) v = 1.0 + v * v;
   const an::Vector r = random_vector(n, 9);
 
-  an::set_thread_count(1);
   an::Vector z_ref(n);
   for (std::size_t i = 0; i < n; ++i) z_ref[i] = d[i] * r[i];
   const double rz_ref = an::parallel_dot(r, z_ref);
 
   grain::ScopedForceFanOut force;
   for (const std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     an::Vector z(n);
-    const double rz = an::fused_hadamard_dot(an::ThreadPool::instance(), d, r, z);
+    const double rz = an::fused_hadamard_dot(d, r, z);
     EXPECT_EQ(z, z_ref) << "t=" << t;
     EXPECT_EQ(rz, rz_ref) << "t=" << t;
   }

@@ -17,12 +17,20 @@ namespace obs = aeropack::obs;
 
 namespace {
 
-struct ThreadCountGuard {
-  ThreadCountGuard() : saved_(an::thread_count()) {}
-  ~ThreadCountGuard() { an::set_thread_count(saved_); }
+/// Binds a pool of `threads` alone: kernels fan out on it, while the process
+/// registry these tests race on stays the calling thread's current one (an
+/// ExecutionContext would bind its own registry as well).
+class BoundPool {
+ public:
+  explicit BoundPool(std::size_t threads)
+      : pool_(threads), prev_(an::exchange_current_pool(&pool_)) {}
+  ~BoundPool() { an::exchange_current_pool(prev_); }
+  BoundPool(const BoundPool&) = delete;
+  BoundPool& operator=(const BoundPool&) = delete;
 
  private:
-  std::size_t saved_;
+  an::ThreadPool pool_;
+  an::ThreadPool* prev_;
 };
 
 struct TelemetryGuard {
@@ -54,8 +62,7 @@ an::CsrMatrix banded_spd(std::size_t n) {
 
 TEST(ObsThreading, InstrumentedParallelCgWithTelemetryEnabled) {
   TelemetryGuard telemetry;
-  ThreadCountGuard threads;
-  an::set_thread_count(8);
+  const BoundPool threads(8);
   // Force full fan-out: this suite exists to race worker threads against the
   // registry, so grain must not serialize the kernels on small machines.
   an::grain::ScopedForceFanOut force;
@@ -77,8 +84,7 @@ TEST(ObsThreading, InstrumentedParallelCgWithTelemetryEnabled) {
 
 TEST(ObsThreading, WorkerThreadsShareInstrumentsRacelessly) {
   TelemetryGuard telemetry;
-  ThreadCountGuard threads;
-  an::set_thread_count(8);
+  const BoundPool threads(8);
   an::grain::ScopedForceFanOut force;
 
   obs::Counter& events = obs::Registry::instance().counter("test.worker.events");
@@ -108,8 +114,7 @@ TEST(ObsThreading, EnableDisableRacesWithWorkerMutations) {
   // The gate flips while workers mutate instruments: adds may or may not
   // land (the gate is advisory), but the process must stay race-free.
   TelemetryGuard telemetry;
-  ThreadCountGuard threads;
-  an::set_thread_count(4);
+  const BoundPool threads(4);
   an::grain::ScopedForceFanOut force;
   obs::Counter& c = obs::Registry::instance().counter("test.gate.race");
   for (int round = 0; round < 20; ++round) {

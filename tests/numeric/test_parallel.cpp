@@ -1,32 +1,25 @@
 // Parallel execution layer: ThreadPool semantics and bit-exact equivalence
-// of the parallel kernels across thread counts.
+// of the parallel kernels across thread counts. Each thread count is an
+// ExecutionContext of that many threads; references run with nothing bound,
+// which is serial.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/context.hpp"
 #include "numeric/parallel.hpp"
 #include "numeric/sparse.hpp"
 #include "numeric/stats.hpp"
 
 namespace an = aeropack::numeric;
+using aeropack::ExecutionConfig;
+using aeropack::ExecutionContext;
 
 namespace {
-
-/// Restores the ambient thread count when a test exits (even on failure).
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(an::thread_count()) {}
-  ~ThreadCountGuard() { an::set_thread_count(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 /// 3-D 7-point Poisson matrix on an n^3 grid (SPD), via the builder.
 an::CsrMatrix poisson3d(std::size_t n) {
@@ -62,18 +55,18 @@ const std::size_t kThreadSweep[] = {1, 2, 8};
 }  // namespace
 
 TEST(ThreadPool, EmptyRangeIsANoOp) {
-  ThreadCountGuard guard;
-  an::set_thread_count(4);
+  ExecutionContext ctx(ExecutionConfig{4, false});
+  const ExecutionContext::Use bind(ctx);
   std::atomic<int> calls{0};
-  an::ThreadPool::instance().run(0, [&](std::size_t) { ++calls; });
+  ctx.pool().run(0, [&](std::size_t) { ++calls; });
   an::parallel_for(5, 5, [&](std::size_t, std::size_t) { ++calls; });
   an::parallel_for(7, 3, [&](std::size_t, std::size_t) { ++calls; });  // inverted
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ThreadPool, RangeSmallerThanThreadCountVisitsEachIndexOnce) {
-  ThreadCountGuard guard;
-  an::set_thread_count(8);
+  ExecutionContext ctx(ExecutionConfig{8, false});
+  const ExecutionContext::Use bind(ctx);
   std::vector<std::atomic<int>> visits(3);
   an::parallel_for(0, 3, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) ++visits[i];
@@ -82,8 +75,8 @@ TEST(ThreadPool, RangeSmallerThanThreadCountVisitsEachIndexOnce) {
 }
 
 TEST(ThreadPool, LargeRangePartitionCoversEverything) {
-  ThreadCountGuard guard;
-  an::set_thread_count(5);
+  ExecutionContext ctx(ExecutionConfig{5, false});
+  const ExecutionContext::Use bind(ctx);
   const std::size_t n = 1003;  // not divisible by 5: uneven chunks
   std::vector<std::atomic<int>> visits(n);
   an::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
@@ -98,9 +91,7 @@ TEST(ThreadPool, AlternatingSmallAndLargeJobsVisitEachTaskOnce) {
   // followed immediately by a much larger one (the per-CG-iteration
   // parallel_for + chunked-reduce pattern) could then run a task twice and
   // deadlock the completion wait. Hammer that hand-off.
-  ThreadCountGuard guard;
-  an::set_thread_count(8);
-  auto& pool = an::ThreadPool::instance();
+  an::ThreadPool pool(8);
   for (int round = 0; round < 200; ++round) {
     std::vector<std::atomic<int>> small(4);
     pool.run(small.size(), [&](std::size_t t) { ++small[t]; });
@@ -136,8 +127,8 @@ TEST(ThreadPool, FreshPoolRunsItsFirstJobOnEveryThread) {
 }
 
 TEST(ThreadPool, ExceptionsPropagateToCaller) {
-  ThreadCountGuard guard;
-  an::set_thread_count(4);
+  ExecutionContext ctx(ExecutionConfig{4, false});
+  const ExecutionContext::Use bind(ctx);
   EXPECT_THROW(an::parallel_for(0, 100,
                                 [](std::size_t lo, std::size_t) {
                                   if (lo == 0) throw std::runtime_error("task failed");
@@ -152,36 +143,33 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
 }
 
 TEST(ThreadPool, SerialFallbackPropagatesExceptionsDirectly) {
-  ThreadCountGuard guard;
-  an::set_thread_count(1);
+  // Nothing bound: the kernel runs on the worker-less pool, inline.
   EXPECT_THROW(
       an::parallel_for(0, 4, [](std::size_t, std::size_t) { throw std::logic_error("serial"); }),
       std::logic_error);
 }
 
 TEST(ParallelKernels, DotAndNormBitIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
   const an::Vector a = random_vector(10000, 1u);
   const an::Vector b = random_vector(10000, 2u);
-  an::set_thread_count(1);
   const double dot_ref = an::parallel_dot(a, b);
   const double norm_ref = an::parallel_norm2(a);
   for (const std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     EXPECT_EQ(an::parallel_dot(a, b), dot_ref) << t << " threads";
     EXPECT_EQ(an::parallel_norm2(a), norm_ref) << t << " threads";
   }
 }
 
 TEST(ParallelKernels, AxpyMatchesSerialExactly) {
-  ThreadCountGuard guard;
   const an::Vector x = random_vector(5000, 3u);
   an::Vector y_ref = random_vector(5000, 4u);
   an::Vector y1 = y_ref;
-  an::set_thread_count(1);
   an::parallel_axpy(0.37, x, y_ref);
   for (const std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     an::Vector y = y1;
     an::parallel_axpy(0.37, x, y);
     for (std::size_t i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], y_ref[i]) << t << " threads";
@@ -189,13 +177,12 @@ TEST(ParallelKernels, AxpyMatchesSerialExactly) {
 }
 
 TEST(ParallelKernels, SpmvEquivalentAcrossThreadCounts) {
-  ThreadCountGuard guard;
   const an::CsrMatrix a = poisson3d(12);  // 1728 rows
   const an::Vector x = random_vector(a.cols(), 5u);
-  an::set_thread_count(1);
   const an::Vector y_ref = a.multiply(x);
   for (const std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     const an::Vector y = a.multiply(x);
     ASSERT_EQ(y.size(), y_ref.size());
     for (std::size_t i = 0; i < y.size(); ++i)
@@ -204,14 +191,13 @@ TEST(ParallelKernels, SpmvEquivalentAcrossThreadCounts) {
 }
 
 TEST(ParallelKernels, CgEquivalentAcrossThreadCounts) {
-  ThreadCountGuard guard;
   const an::CsrMatrix a = poisson3d(10);  // 1000 unknowns
   const an::Vector b = random_vector(a.rows(), 6u);
-  an::set_thread_count(1);
   const auto ref = an::conjugate_gradient(a, b);
   ASSERT_TRUE(ref.converged);
   for (const std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     const auto res = an::conjugate_gradient(a, b);
     ASSERT_TRUE(res.converged) << t << " threads";
     EXPECT_EQ(res.iterations, ref.iterations) << t << " threads";
@@ -221,8 +207,8 @@ TEST(ParallelKernels, CgEquivalentAcrossThreadCounts) {
 }
 
 TEST(ParallelKernels, WarmStartedCgMatchesColdSolution) {
-  ThreadCountGuard guard;
-  an::set_thread_count(2);
+  ExecutionContext ctx(ExecutionConfig{2, false});
+  const ExecutionContext::Use bind(ctx);
   const an::CsrMatrix a = poisson3d(8);
   const an::Vector b = random_vector(a.rows(), 7u);
   const auto cold = an::conjugate_gradient(a, b);
@@ -235,68 +221,4 @@ TEST(ParallelKernels, WarmStartedCgMatchesColdSolution) {
   ASSERT_TRUE(warm.converged);
   EXPECT_LT(warm.iterations, cold.iterations / 2);
   for (std::size_t i = 0; i < warm.x.size(); ++i) ASSERT_NEAR(warm.x[i], cold.x[i], 1e-8);
-}
-
-TEST(ParallelKernels, SetThreadCountZeroRestoresDefault) {
-  ThreadCountGuard guard;
-  an::set_thread_count(3);
-  EXPECT_EQ(an::thread_count(), 3u);
-  an::set_thread_count(0);
-  EXPECT_GE(an::thread_count(), 1u);
-}
-
-TEST(ThreadPool, InstanceReferenceStaysValidAcrossSetThreadCount) {
-  // Regression: set_thread_count() used to tear the default pool down and
-  // build a new one, leaving every previously returned instance() reference
-  // dangling. The pool now resizes in place: same address, new worker set,
-  // old handles fully usable.
-  ThreadCountGuard guard;
-  an::set_thread_count(2);
-  an::ThreadPool& before = an::ThreadPool::instance();
-  EXPECT_EQ(before.threads(), 2u);
-
-  an::set_thread_count(6);
-  EXPECT_EQ(&an::ThreadPool::instance(), &before);
-  EXPECT_EQ(before.threads(), 6u);
-
-  // The held reference must be live after every resize direction.
-  an::set_thread_count(1);
-  EXPECT_EQ(&an::ThreadPool::instance(), &before);
-  std::vector<std::atomic<int>> visits(100);
-  before.run(0, [](std::size_t) {});
-  an::set_thread_count(4);
-  an::parallel_for(0, visits.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++visits[i];
-  });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ThreadPool, SetThreadCountZeroReReadsEnvironment) {
-  // set_thread_count(0) restores the *default*, and the default re-reads
-  // AEROPACK_THREADS at restore time (not the value cached at startup).
-  ThreadCountGuard guard;
-  const char* old_env = std::getenv("AEROPACK_THREADS");
-  const std::string saved = old_env != nullptr ? old_env : "";
-
-  setenv("AEROPACK_THREADS", "5", 1);
-  an::set_thread_count(0);
-  EXPECT_EQ(an::thread_count(), 5u);
-
-  setenv("AEROPACK_THREADS", "2", 1);
-  an::set_thread_count(0);
-  EXPECT_EQ(an::thread_count(), 2u);
-
-  // Unset (or unparsable) falls back to hardware concurrency, min 1.
-  unsetenv("AEROPACK_THREADS");
-  an::set_thread_count(0);
-  EXPECT_GE(an::thread_count(), 1u);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0) {
-    EXPECT_EQ(an::thread_count(), static_cast<std::size_t>(hw));
-  }
-
-  if (old_env != nullptr)
-    setenv("AEROPACK_THREADS", saved.c_str(), 1);
-  else
-    unsetenv("AEROPACK_THREADS");
 }

@@ -1,7 +1,7 @@
 // Deterministic-counter contracts: the canonical solves (linear slab FV,
 // nonlinear-box Picard, Fig. 2 board sparse modal, and two multigrid FV
-// steady solves above the AMG crossover) run with telemetry
-// enabled, and their algorithmic counters — Picard passes, CG iterations,
+// steady solves above the AMG crossover) run on ExecutionContexts with
+// telemetry armed, and their algorithmic counters — Picard passes, CG iterations,
 // SpMV calls, factorizations, subspace sweeps — are frozen as exact golden
 // baselines under tests/obs/golden/. The PR 1-3 determinism invariants make
 // these counters bit-identical across thread counts, so the same snapshot is
@@ -21,54 +21,42 @@
 #include <utility>
 #include <vector>
 
+#include "exec/context.hpp"
 #include "fem/modal.hpp"
 #include "fem/plate.hpp"
 #include "materials/solid.hpp"
-#include "numeric/parallel.hpp"
-#include "obs/registry.hpp"
 #include "verify/cross_check.hpp"
 #include "verify/golden.hpp"
 #include "verify/solver_cases.hpp"
 
 namespace af = aeropack::fem;
 namespace am = aeropack::materials;
-namespace an = aeropack::numeric;
 namespace at = aeropack::thermal;
 namespace av = aeropack::verify;
-namespace obs = aeropack::obs;
+using aeropack::ExecutionConfig;
+using aeropack::ExecutionContext;
 
 namespace {
 
 const std::vector<std::size_t> kThreadSweep{1, 2, 8};
 
-struct ThreadCountGuard {
-  ThreadCountGuard() : saved_(an::thread_count()) {}
-  ~ThreadCountGuard() { an::set_thread_count(saved_); }
-
- private:
-  std::size_t saved_;
-};
-
-struct TelemetryGuard {
-  TelemetryGuard() { obs::enable(); }
-  ~TelemetryGuard() { obs::disable(); }
-};
-
 bool is_scheduling_counter(const std::string& name) {
   return name.rfind("numeric.parallel_for.", 0) == 0 || name.rfind("numeric.pool.", 0) == 0;
 }
 
-/// Run `solve` on a clean registry and return its algorithmic counters.
-/// Zero values are dropped: the process-wide registry holds every counter any
-/// earlier test created, so keeping them would make the snapshot (and the
-/// golden baseline) depend on test execution order. A counter regressing from
-/// k to 0 still fails — its key goes missing against the baseline.
+/// Run `solve` on a fresh `threads`-thread context with telemetry armed and
+/// return the algorithmic counters of its registry. Zero values are dropped,
+/// as the golden baselines were recorded: a counter regressing from k to 0
+/// still fails — its key goes missing against the baseline.
 template <typename Fn>
-std::map<std::string, std::uint64_t> counters_of(Fn&& solve) {
-  obs::Registry::instance().reset();
-  solve();
+std::map<std::string, std::uint64_t> counters_of(std::size_t threads, Fn&& solve) {
+  ExecutionContext ctx(ExecutionConfig{threads, true});
+  {
+    const ExecutionContext::Use bind(ctx);
+    solve();
+  }
   std::map<std::string, std::uint64_t> snap;
-  for (const auto& [name, value] : obs::Registry::instance().counters())
+  for (const auto& [name, value] : ctx.metrics().counters())
     if (value != 0 && !is_scheduling_counter(name)) snap[name] = value;
   return snap;
 }
@@ -78,14 +66,10 @@ std::map<std::string, std::uint64_t> counters_of(Fn&& solve) {
 template <typename Fn>
 std::map<std::string, std::uint64_t> thread_invariant_counters(const std::string& label,
                                                                Fn&& solve) {
-  TelemetryGuard telemetry;
-  ThreadCountGuard threads;
-  an::set_thread_count(kThreadSweep.front());
-  const auto reference = counters_of(solve);
+  const auto reference = counters_of(kThreadSweep.front(), solve);
   EXPECT_FALSE(reference.empty());
   for (const std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
-    const auto run = counters_of(solve);
+    const auto run = counters_of(t, solve);
     EXPECT_EQ(run, reference) << label << ": counters diverge at " << t << " threads";
   }
   return reference;
@@ -182,13 +166,13 @@ TEST(CounterContracts, SlabTransientWarmStartsEveryStep) {
   // Not golden-frozen (the step count is pinned by the arguments), but the
   // warm-start depth must be visible in telemetry: a zero-power march from
   // the exact fixed point converges in zero CG iterations every step.
-  TelemetryGuard telemetry;
   at::FvModel m(at::FvGrid::uniform(0.05, 0.02, 0.01, 8, 4, 2));
   m.set_material(am::aluminum_6061());
   m.set_boundary(at::Face::XMin, at::BoundaryCondition::fixed(300.0));
-  obs::Registry::instance().reset();
+  ExecutionContext ctx(ExecutionConfig{1, true});
+  const ExecutionContext::Use bind(ctx);
   const auto out = m.solve_transient(10.0, 1.0, 300.0);
-  const auto counters = obs::Registry::instance().counters();
+  const auto counters = ctx.metrics().counters();
   EXPECT_EQ(counters.at("fv.transient_steps"), 10u);
   EXPECT_EQ(counters.at("fv.structure_assemblies"), 1u);
   EXPECT_EQ(counters.at("fv.boundary_updates"), 10u);

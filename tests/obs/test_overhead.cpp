@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "numeric/parallel.hpp"
 #include "numeric/sparse.hpp"
 #include "obs/registry.hpp"
 
@@ -75,20 +74,11 @@ double time_solve_seconds(const an::CsrMatrix& a, const an::Vector& b,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-struct ThreadCountGuard {
-  ThreadCountGuard() : saved_(an::thread_count()) {}
-  ~ThreadCountGuard() { an::set_thread_count(saved_); }
-
- private:
-  std::size_t saved_;
-};
-
 }  // namespace
 
 TEST(ObsOverhead, DormantTelemetryIsFreeOnCg64) {
-  ThreadCountGuard threads;
-  an::set_thread_count(1);  // serial: tightest timing variance
-
+  // Nothing is bound, so the solves run serially: the tightest timing
+  // variance.
   const an::CsrMatrix a = laplacian_3d(64);
   const an::Vector b(a.rows(), 1.0);
   an::IterativeOptions opts;
@@ -96,7 +86,7 @@ TEST(ObsOverhead, DormantTelemetryIsFreeOnCg64) {
   opts.max_iterations = 150;
 
   obs::disable();
-  time_solve_seconds(a, b, opts);  // warm caches and the thread pool
+  time_solve_seconds(a, b, opts);  // warm caches
 
   const auto timed_dormant = [&] {
     obs::disable();

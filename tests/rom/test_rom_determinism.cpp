@@ -2,13 +2,14 @@
 // reduced operators, POD energies), steady/transient evaluation and field
 // reconstruction must be bit-identical at 1, 2 and 8 threads — the same
 // contract the FV/fem solvers carry, extended through snapshot generation
-// and Galerkin projection. TSan-gated in CI alongside the numeric/fem runs.
+// and Galerkin projection. Each thread count is an ExecutionContext of that
+// many threads; references run serially, with nothing bound. TSan-gated in
+// CI alongside the numeric/fem runs.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "exec/context.hpp"
-#include "numeric/parallel.hpp"
 #include "rom/canonical.hpp"
 #include "rom/rom.hpp"
 #include "verify/tolerance.hpp"
@@ -16,18 +17,12 @@
 namespace an = aeropack::numeric;
 namespace ar = aeropack::rom;
 namespace av = aeropack::verify;
+using aeropack::ExecutionConfig;
+using aeropack::ExecutionContext;
 
 namespace {
 
 const std::vector<std::size_t> kThreadSweep{1, 2, 8};
-
-struct ThreadCountGuard {
-  ThreadCountGuard() : saved_(an::thread_count()) {}
-  ~ThreadCountGuard() { an::set_thread_count(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 ar::RomOptions enriched_options() {
   ar::RomOptions opts;
@@ -51,12 +46,11 @@ void expect_matrix_identical(const an::Matrix& a, const an::Matrix& b, const cha
 }  // namespace
 
 TEST(RomDeterminism, BuildBitIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
   const ar::CanonicalCase c = ar::fig2_board();
-  an::set_thread_count(1);
   const ar::RomModel reference = ar::build_rom(c.model, c.spec, enriched_options());
   for (std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     const ar::RomModel rom = ar::build_rom(c.model, c.spec, enriched_options());
     ASSERT_EQ(rom.usable_rank(), reference.usable_rank()) << t;
     expect_matrix_identical(rom.basis(), reference.basis(), "basis", t);
@@ -70,16 +64,15 @@ TEST(RomDeterminism, BuildBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(RomDeterminism, EvaluationBitIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
   const ar::CanonicalCase c = ar::fig2_board();
   const ar::RomInputs in = board_inputs();
-  an::set_thread_count(1);
   const ar::RomModel rom1 = ar::build_rom(c.model, c.spec);
   const ar::RomSteadyResult ref_steady = rom1.steady(in);
   const an::Vector ref_field = rom1.reconstruct(ref_steady.reduced_coordinates);
   const ar::RomTransientResult ref_march = rom1.transient(in, 600.0, 30.0, 293.15);
   for (std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     const ar::RomModel rom = ar::build_rom(c.model, c.spec);
     const ar::RomSteadyResult steady = rom.steady(in);
     EXPECT_TRUE(av::bitwise_equal(steady.port_temperatures, ref_steady.port_temperatures)) << t;
@@ -100,15 +93,13 @@ TEST(RomDeterminism, EvaluationBitIdenticalAcrossThreadCounts) {
 
 TEST(RomDeterminism, ContextPinnedBuildMatchesProcessPool) {
   // Building inside an ExecutionContext (own pool, own registry) must give
-  // the exact same compact model as the process-default path — this is what
-  // lets service scenarios build ROMs inside their isolated contexts.
-  ThreadCountGuard guard;
+  // the exact same compact model as a thread with nothing bound — this is
+  // what lets service scenarios build ROMs inside their isolated contexts.
   const ar::CanonicalCase c = ar::seb_box();
-  an::set_thread_count(1);
   const ar::RomModel reference = ar::build_rom(c.model, c.spec);
   for (std::size_t t : kThreadSweep) {
-    aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{t, true});
-    aeropack::ExecutionContext::Use use(ctx);
+    ExecutionContext ctx(ExecutionConfig{t, true});
+    const ExecutionContext::Use use(ctx);
     const ar::RomModel rom = ar::build_rom(c.model, c.spec);
     expect_matrix_identical(rom.basis(), reference.basis(), "context basis", t);
     expect_matrix_identical(rom.input_map(), reference.input_map(), "context B_r", t);

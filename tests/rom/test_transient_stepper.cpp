@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "core/transient_engine.hpp"
+#include "exec/context.hpp"
 #include "mission/profile.hpp"
 #include "mission/transient.hpp"
-#include "numeric/parallel.hpp"
 #include "rom/canonical.hpp"
 #include "rom/rom.hpp"
 #include "rom/transient.hpp"
@@ -30,14 +30,6 @@ using an::Vector;
 namespace {
 
 const std::vector<std::size_t> kThreadSweep{1, 2, 8};
-
-struct ThreadCountGuard {
-  ThreadCountGuard() : saved_(an::thread_count()) {}
-  ~ThreadCountGuard() { an::set_thread_count(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 ar::RomModel board_rom() {
   const ar::CanonicalCase c = ar::fig2_board();
@@ -138,13 +130,14 @@ TEST(RomTransientStepper, FactorRingServesChangingStepSizes) {
 }
 
 TEST(RomTransientStepper, DrivenMarchBitIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
+  // The reference runs serially, with nothing bound; each thread count is an
+  // ExecutionContext of that many threads.
   const am::Profile profile = shock_profile();
-  an::set_thread_count(1);
   const ar::RomModel rom = board_rom();
   const Vector reference = adaptive_shaped_march(rom, profile);
   for (const std::size_t threads : kThreadSweep) {
-    an::set_thread_count(threads);
+    aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{threads, false});
+    const aeropack::ExecutionContext::Use bind(ctx);
     const Vector y = adaptive_shaped_march(rom, profile);
     EXPECT_TRUE(av::bitwise_equal(y, reference))
         << "driven march diverges at " << threads << " threads, index "

@@ -1,45 +1,38 @@
 // Thread-count determinism sweep: the MMS and cross-solver suites must
-// produce bit-identical fields at 1, 2 and 8 threads (the runtime equivalent
-// of AEROPACK_THREADS=1,2,8), locking in the deterministic-reduction
-// contract of the parallel layer for every solver path the verification
-// tier exercises.
+// produce bit-identical fields at 1, 2 and 8 threads, each run on an
+// ExecutionContext of that many threads and compared with the serial run
+// of a thread that has nothing bound. This locks in the
+// deterministic-reduction contract of the parallel layer for every solver
+// path the verification tier exercises.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "numeric/parallel.hpp"
+#include "exec/context.hpp"
 #include "thermal/fv.hpp"
 #include "verify/cross_check.hpp"
 #include "verify/mms.hpp"
 #include "verify/tolerance.hpp"
 
-namespace an = aeropack::numeric;
 namespace at = aeropack::thermal;
 namespace av = aeropack::verify;
+using aeropack::ExecutionConfig;
+using aeropack::ExecutionContext;
 
 namespace {
 
 const std::vector<std::size_t> kThreadSweep{1, 2, 8};
 
-struct ThreadCountGuard {
-  ThreadCountGuard() : saved_(an::thread_count()) {}
-  ~ThreadCountGuard() { an::set_thread_count(saved_); }
-
- private:
-  std::size_t saved_;
-};
-
 template <typename Fn>
 void expect_bit_identical_across_threads(const char* what, Fn&& field_at_current_threads) {
-  ThreadCountGuard guard;
-  an::set_thread_count(kThreadSweep.front());
   const aeropack::numeric::Vector reference = field_at_current_threads();
   for (std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     const aeropack::numeric::Vector field = field_at_current_threads();
     EXPECT_TRUE(av::bitwise_equal(reference, field))
-        << what << ": " << kThreadSweep.front() << " vs " << t
-        << " threads diverge at index " << av::first_bitwise_difference(reference, field);
+        << what << ": serial vs " << t << " threads diverge at index "
+        << av::first_bitwise_difference(reference, field);
   }
 }
 
@@ -73,15 +66,14 @@ TEST(ThreadSweep, MmsLadderErrorsExactlyReproducible) {
   // whole convergence report — every rung and the fitted order — must be
   // exactly equal (==, not near) at any thread count. The 32^3 rung is
   // above the multigrid crossover, so the ladder covers both CG paths.
-  ThreadCountGuard guard;
   const auto mms = av::mms_graded_k(0.1, 0.12, 0.08, 10.0, 1.5, 300.0, 40.0);
   const std::vector<std::size_t> rungs{8, 16, 32};
   static_assert(32 * 32 * 32 >= at::kAmgMinCells);
-  an::set_thread_count(1);
   const auto reference =
       av::mms_steady_order(mms, rungs, at::FaceConductanceScheme::HarmonicMean);
   for (std::size_t t : kThreadSweep) {
-    an::set_thread_count(t);
+    ExecutionContext ctx(ExecutionConfig{t, false});
+    const ExecutionContext::Use bind(ctx);
     const auto report =
         av::mms_steady_order(mms, rungs, at::FaceConductanceScheme::HarmonicMean);
     ASSERT_EQ(report.ladder.size(), reference.ladder.size());

@@ -106,43 +106,36 @@ int main(int argc, char** argv) {
   }
   if (dispatch2_ns == 0.0) dispatch2_ns = 1000.0;  // single-core machine
 
-  // Per-element serial costs on resident data.
+  // Per-element serial costs on resident data: nothing is bound to this
+  // thread, so every kernel runs serially.
   const std::size_t n_vec = 1 << 16;
   an::Vector x(n_vec, 1.0), y(n_vec, 2.0), z(n_vec), inv_d(n_vec, 0.5);
   an::Vector r(n_vec, 1.0), p(n_vec, 0.5), ap(n_vec, 0.25), xs(n_vec, 0.0);
-  an::ThreadPool serial(1);
 
   const double stream_ns =
-      time_median_ns(kReps, [&] {
-        an::parallel_axpy(serial, 1e-9, x, y);
-      }) /
+      time_median_ns(kReps, [&] { an::parallel_axpy(1e-9, x, y); }) /
       static_cast<double>(n_vec);
-  const double dot_ns = time_median_ns(kReps, [&] {
-                          g_sink = an::parallel_dot(serial, x, y);
-                        }) /
-                        static_cast<double>(n_vec);
+  const double dot_ns =
+      time_median_ns(kReps, [&] { g_sink = an::parallel_dot(x, y); }) /
+      static_cast<double>(n_vec);
   const double fused_ns =
       time_median_ns(kReps, [&] {
-        const an::CgFused f =
-            an::cg_fused_update(serial, 1e-9, p, ap, inv_d, xs, r, z);
+        const an::CgFused f = an::cg_fused_update(1e-9, p, ap, inv_d, xs, r, z);
         g_sink = f.rr + f.rz;
       }) /
       static_cast<double>(n_vec);
 
   const an::CsrMatrix a = poisson3d(32);
   an::Vector v(a.cols(), 1.0), av;
-  const double spmv_ns = time_median_ns(kReps, [&] {
-                           a.multiply(serial, v, av);
-                         }) /
-                         static_cast<double>(a.nonzeros());
+  const double spmv_ns =
+      time_median_ns(kReps, [&] { a.multiply(v, av); }) /
+      static_cast<double>(a.nonzeros());
   constexpr std::size_t kBlockColumns = 16;
   const std::vector<double> vb(a.cols() * kBlockColumns, 1.0);
   std::vector<double> avb;
-  an::ThreadPool* const bound = an::exchange_current_pool(&serial);
   const double spmv_block_ns =
       time_median_ns(kReps, [&] { a.multiply_block(vb, avb, kBlockColumns); }) /
       static_cast<double>(a.nonzeros() * kBlockColumns);
-  an::exchange_current_pool(bound);
   // FV cell proxy: the 7-point conductance fill is ~6x a stream element on
   // the machines measured so far; derive it from the SpMV row cost (7 nnz
   // per interior row plus indexing) rather than linking the thermal layer.
