@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/scenario_service.hpp"
+#include "exec/context.hpp"
 #include "mission/profile.hpp"
 #include "mission/service_graphs.hpp"
 #include "mission/transient.hpp"
@@ -144,10 +145,13 @@ EconomyPoint adaptive_economy() {
 
   am::AdaptiveOptions adaptive;
   adaptive.tolerance = 0.05;
-  const am::MissionSolution sol = am::run_fv_mission(cc.model, profile, 293.15, adaptive);
+  // Its own registry with telemetry on: the stepper counts every implicit
+  // solve, rejected attempts included, whether or not --report is set.
+  aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{1, true});
+  (void)am::run_fv_mission(ctx, cc.model, profile, 293.15, adaptive);
 
   EconomyPoint point;
-  point.adaptive_solves = 3 * (sol.steps_accepted + sol.steps_rejected);
+  point.adaptive_solves = ctx.metrics().counters().at("fv.transient_steps");
   // The fixed-dt march that reaches the same accuracy class: first-order
   // implicit Euler needs dt comparable to the smallest step the controller
   // was forced to (the ramps bound the error budget globally).

@@ -4,15 +4,16 @@
 // network marches, reduced-order marches and the adaptive mission
 // controller — used to carry its own hand-rolled time loop. This header is
 // the single replacement: a stepper *concept* (one implicit step of an
-// arbitrary size ending at an arbitrary mission time) plus the two loop
-// shapes built on it, a fixed-dt march and the PI step-doubling adaptive
-// march. Fidelity lives in the stepper (thermal::FvTransientStepper,
-// thermal::NetworkTransientStepper, rom::RomTransientStepper); the loops,
-// the error control and the input validation live here, once.
+// arbitrary size ending at an arbitrary mission time, plus the state's time
+// derivative) and the two loop shapes built on it, a fixed-dt implicit-Euler
+// march and the PI-controlled TR-BDF2 adaptive march. Fidelity lives in the
+// stepper (thermal::FvTransientStepper, thermal::NetworkTransientStepper,
+// rom::RomTransientStepper); the loops, the error control and the input
+// validation live here, once.
 //
 // Determinism contract: both marches are pure double arithmetic over
 // whatever the stepper computes — no reductions, no threading, no
-// reordering. A stepper whose step() and error_norm() are bitwise
+// reordering. A stepper whose step(), rate() and error_norm() are bitwise
 // deterministic therefore yields bitwise-identical marches at any thread
 // count, which is the property the mission determinism sweeps gate.
 //
@@ -28,6 +29,7 @@
 #include <cmath>
 #include <concepts>
 #include <cstddef>
+#include <numbers>
 #include <stdexcept>
 #include <string>
 
@@ -39,23 +41,26 @@ namespace aeropack::core {
 /// `state` in place by one implicit step of size `dt` ending at mission time
 /// `t_next` — resolving any attached drive at `t_next` — and returns the
 /// step's solver cost (CG iterations, Picard passes, or 1 for direct
-/// solves). `error_norm` is the controller metric between two candidate end
-/// states, in kelvin so one tolerance means the same thing at every
-/// fidelity. Step size may change freely between calls: steppers apply
-/// capacity/dt per call instead of baking it into their operator.
+/// solves). `rate(state, t, out)` writes the time derivative C⁻¹ f(t, state)
+/// the implicit step integrates, with the drive resolved at `t` (the
+/// adaptive march's explicit stage). `error_norm` is the controller metric
+/// between two states, in kelvin so one tolerance means the same thing at
+/// every fidelity. Step size may change freely between calls: steppers
+/// apply capacity/dt per call instead of baking it into their operator.
 template <typename S>
-concept TransientSystem =
-    requires(S s, const S cs, numeric::Vector& state, const numeric::Vector& a, double t) {
-      { cs.state_size() } -> std::convertible_to<std::size_t>;
-      { s.step(state, t, t) } -> std::convertible_to<std::size_t>;
-      { cs.error_norm(a, a) } -> std::convertible_to<double>;
-    };
+concept TransientSystem = requires(S s, const S cs, numeric::Vector& state,
+                                   const numeric::Vector& a, double t) {
+  { cs.state_size() } -> std::convertible_to<std::size_t>;
+  { s.step(state, t, t) } -> std::convertible_to<std::size_t>;
+  s.rate(a, t, state);
+  { cs.error_norm(a, a) } -> std::convertible_to<double>;
+};
 
 /// Step-size controller options for march_adaptive. Defaults suit the
 /// coarse qualification models (SEB box, Fig. 2 board); tighten `tolerance`
 /// for fine grids.
 struct AdaptiveOptions {
-  double tolerance = 0.05;  ///< step-doubling error target, error_norm units
+  double tolerance = 0.05;  ///< estimated local error of an accepted step, error_norm units
   double dt_initial = 1.0;  ///< first attempted step [s]
   double dt_min = 1e-3;     ///< smallest controller step [s]
   double dt_max = 60.0;     ///< largest controller step [s]
@@ -124,16 +129,29 @@ std::size_t march_fixed(S& stepper, numeric::Vector& state, double t_end, double
   return cost;
 }
 
-/// PI step-doubling adaptive march over [0, t_end]. Every attempt computes
-/// one full step and two half steps from the same state; their error_norm
-/// difference estimates the local truncation error, the (more accurate)
-/// two-half solution is the one accepted, and the PI controller picks the
-/// next step size. Steps never cross `next_transition(t)` — drivers may be
-/// discontinuous there and stepping across a jump would smear it; a step
+/// PI-controlled TR-BDF2 adaptive march over [0, t_end] (Hosea & Shampine,
+/// Appl. Numer. Math. 20, 1996), at gamma = 2 - sqrt(2). Every attempt of
+/// size h from (t_n, y_n) makes one rate() call and two implicit-Euler
+/// step() calls of the same size d = gamma h / 2:
+///   r_n = rate(y_n, t_n+)
+///   stage 1, trapezoidal rule to t_n + gamma h: step from y_n + d r_n
+///   stage 2, BDF2 to t_n + h: step from
+///            (y_gamma - (1 - gamma)^2 y_n) / (gamma (2 - gamma))
+/// Each stage's derivative is read off its implicit-Euler relation,
+/// r = (y_out - y_in) / d, and the embedded estimate
+///   e = 2 k h (r_n / gamma - r_gamma / (gamma (1 - gamma)) + r_{n+1} / (1 - gamma)),
+///   k = (-3 gamma^2 + 4 gamma - 2) / (12 (2 - gamma)),
+/// measured as error_norm(e, 0), is the attempt's local error. The
+/// second-order y_{n+1} is accepted when it meets the tolerance, and the PI
+/// controller picks the next step size. r_n is evaluated just after t_n
+/// (std::nextafter toward t_end): a driver gives a boundary instant to the
+/// phase that ends there, and a step starting on a boundary integrates the
+/// phase that begins. Steps never cross `next_transition(t)` — drivers may
+/// be discontinuous there and stepping across a jump would smear it; a step
 /// clamped by a boundary keeps the controller's dt ambition.
 ///
 /// Hooks (all may be empty lambdas):
-///   on_attempt(cost)          after the three stepper calls of an attempt
+///   on_attempt(cost)          after the two stepper calls of an attempt
 ///   on_accept(t, state, landed)  after a step is accepted (landed = ended
 ///                                exactly on a transition boundary < t_end)
 ///   on_reject()               after a step is rejected
@@ -148,13 +166,19 @@ MarchStats march_adaptive(const char* where, S& stepper, numeric::Vector& state,
   check_adaptive_options(where, adaptive);
   check_state_size(where, state.size(), stepper.state_size());
 
-  // PI controller for first-order implicit Euler: factor =
+  // TR-BDF2 coefficients: both stages are implicit-Euler steps of gamma h / 2.
+  constexpr double kGamma = 2.0 - std::numbers::sqrt2;
+  constexpr double kStageWeight = 1.0 / (kGamma * (2.0 - kGamma));
+  constexpr double kHistoryWeight = (1.0 - kGamma) * (1.0 - kGamma) * kStageWeight;
+  constexpr double kErrorConstant =
+      (-3.0 * kGamma * kGamma + 4.0 * kGamma - 2.0) / (12.0 * (2.0 - kGamma));
+  // PI controller for the second-order method (local error ~ h^3): factor =
   // kSafety * (tol/err)^kI * (err_prev/err)^kP, clamped to the limits.
   constexpr double kSafety = 0.9;
   constexpr double kShrinkLimit = 0.2;  // max per-step shrink factor
   constexpr double kGrowLimit = 4.0;    // max per-step growth factor
-  constexpr double kI = 0.35;
-  constexpr double kP = 0.2;
+  constexpr double kI = 0.7 / 3.0;
+  constexpr double kP = 0.4 / 3.0;
   const auto clamp = [](double v, double lo, double hi) { return std::min(hi, std::max(lo, v)); };
 
   MarchStats out;
@@ -162,7 +186,9 @@ MarchStats march_adaptive(const char* where, S& stepper, numeric::Vector& state,
   double dt_want = clamp(adaptive.dt_initial, adaptive.dt_min, adaptive.dt_max);
   // Neutral controller memory: behaves like a plain I controller on step 1.
   double err_prev = adaptive.tolerance;
-  numeric::Vector trial, half;
+  const std::size_t n = state.size();
+  numeric::Vector rate_n(n), stage_in(n), stage(n), r_gamma(n), trial(n), estimate(n);
+  const numeric::Vector zero(n, 0.0);
   std::size_t attempts = 0;
 
   while (t < t_end * (1.0 - 1e-12)) {
@@ -178,24 +204,35 @@ MarchStats march_adaptive(const char* where, S& stepper, numeric::Vector& state,
     const bool boundary_clamped = dt_try < dt_want;
 
     const double t_next = (dt_try >= room) ? limit : t + dt_try;
-    const double h2 = 0.5 * dt_try;
+    const double d = 0.5 * kGamma * dt_try;
 
-    // Step-doubling: one full step and two half steps from the same state.
-    trial = state;
-    std::size_t cost = stepper.step(trial, t_next, dt_try);
-    half = state;
-    cost += stepper.step(half, t + h2, h2);
-    cost += stepper.step(half, t_next, dt_try - h2);
+    stepper.rate(state, std::nextafter(t, t_end), rate_n);
+    // Stage 1: the trapezoidal rule to t + gamma h.
+    for (std::size_t i = 0; i < n; ++i) stage_in[i] = state[i] + d * rate_n[i];
+    stage = stage_in;
+    std::size_t cost = stepper.step(stage, t + kGamma * dt_try, d);
+    // Stage 2: BDF2 through y_n and y_gamma to t + h.
+    for (std::size_t i = 0; i < n; ++i) {
+      r_gamma[i] = (stage[i] - stage_in[i]) / d;
+      stage_in[i] = kStageWeight * stage[i] - kHistoryWeight * state[i];
+    }
+    trial = stage_in;
+    cost += stepper.step(trial, t_next, d);
     out.step_cost += cost;
     on_attempt(cost);
 
-    const double err = stepper.error_norm(half, trial);
+    const double scale = 2.0 * kErrorConstant * dt_try;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double r_next = (trial[i] - stage_in[i]) / d;
+      estimate[i] = scale * (rate_n[i] / kGamma - r_gamma[i] / (kGamma * (1.0 - kGamma)) +
+                             r_next / (1.0 - kGamma));
+    }
+    const double err = stepper.error_norm(estimate, zero);
 
     // At dt_min there is no smaller step to retry with: accept and move on.
     const bool at_floor = dt_try <= adaptive.dt_min * (1.0 + 1e-9);
     if (err <= adaptive.tolerance || at_floor) {
-      // Accept the two-half solution (the more accurate of the pair).
-      state.swap(half);
+      state.swap(trial);
       t = t_next;
       out.steps_accepted += 1;
       const bool landed = t >= limit && limit < t_end;
@@ -216,7 +253,8 @@ MarchStats march_adaptive(const char* where, S& stepper, numeric::Vector& state,
     } else {
       out.steps_rejected += 1;
       on_reject();
-      const double factor = clamp(kSafety * std::sqrt(adaptive.tolerance / err), kShrinkLimit, 0.9);
+      const double factor =
+          clamp(kSafety * std::cbrt(adaptive.tolerance / err), kShrinkLimit, 0.9);
       dt_want = std::max(adaptive.dt_min, dt_try * factor);
     }
   }

@@ -1,15 +1,15 @@
-// Mission transient campaigns: adaptive implicit-Euler marches of an
-// FvModel (or ThermalNetwork) through a mission::Profile environment driver
-// (DESIGN.md "Mission profiles").
+// Mission transient campaigns: adaptive marches of an FvModel (or
+// ThermalNetwork, or reduced model) through a mission::Profile environment
+// driver (DESIGN.md "Mission profiles").
 //
-// The march is PI-controlled with a step-doubling error estimate: every
-// attempted step is computed once at dt and again as two half steps on the
-// same shared steady assembly; the max-norm difference of the two end
-// fields estimates the local truncation error, the (more accurate) two-half
-// solution is the one accepted, and a PI controller picks the next step
-// size. Steps are clamped so they never cross a phase boundary of the
-// profile — drivers may be discontinuous there (eclipse square waves) and
-// stepping across a discontinuity would smear it.
+// The march is the engine's PI-controlled TR-BDF2 (core::march_adaptive):
+// every attempted step makes one rate evaluation and two implicit-Euler
+// stages of the same size on the same shared steady assembly, the embedded
+// estimate of the local error decides acceptance, the second-order end
+// field is the one accepted, and a PI controller picks the next step size.
+// Steps are clamped so they never cross a phase boundary of the profile —
+// drivers may be discontinuous there (eclipse square waves) and stepping
+// across a discontinuity would smear it.
 //
 // Determinism contract: the controller state is pure double arithmetic and
 // every FV kernel underneath uses deterministic chunked reductions, so the

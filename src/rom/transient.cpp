@@ -12,14 +12,26 @@ using numeric::Matrix;
 using numeric::Vector;
 
 namespace {
-/// Factorization ring capacity: the adaptive march alternates between the
-/// full-step dt and its half per attempt; fixed-dt marches use one slot.
+/// Factorization ring capacity: the adaptive march uses one dt per attempt
+/// and fixed-dt marches one in all.
 constexpr std::size_t kMaxDtFactors = 6;
+
+/// The leading rank x rank block of a reduced operator: the model projects
+/// at its usable rank and marches at the (possibly smaller) active rank.
+Matrix leading_block(const Matrix& m, std::size_t rank) {
+  Matrix block(rank, rank);
+  for (std::size_t i = 0; i < rank; ++i)
+    for (std::size_t j = 0; j < rank; ++j) block(i, j) = m(i, j);
+  return block;
+}
 }  // namespace
 
 RomTransientStepper::RomTransientStepper(const RomModel& model, RomInputs base_inputs,
                                          RomDrive drive)
-    : model_(&model), base_(std::move(base_inputs)), drive_(std::move(drive)) {
+    : model_(&model),
+      base_(std::move(base_inputs)),
+      drive_(std::move(drive)),
+      capacity_(leading_block(model.c_r_, model.rank_)) {
   static thread_local obs::CounterHandle evals{"rom.transient_evals"};
   model_->check(base_);
   evals.add();
@@ -76,6 +88,29 @@ const numeric::CholeskyFactorization& RomTransientStepper::factor_for(double dt)
   return slot.factor;
 }
 
+const Vector& RomTransientStepper::rhs_at(double t, Vector& scratch) const {
+  // The undriven path reuses the base right-hand side computed once.
+  if (!drive_.inputs) return b_base_;
+  RomInputs in = drive_.inputs(t);
+  model_->check(in);
+  scratch = model_->reduced_rhs(in);
+  return scratch;
+}
+
+void RomTransientStepper::rate(const Vector& y, double t, Vector& out) const {
+  core::check_state_size("RomTransientStepper::rate", y.size(), model_->rank_);
+  Vector b_driven;
+  const Vector& b = rhs_at(t, b_driven);
+  const std::size_t rank = model_->rank_;
+  Vector f(rank);
+  for (std::size_t i = 0; i < rank; ++i) {
+    double acc = b[i];
+    for (std::size_t j = 0; j < rank; ++j) acc -= model_->a_r_(i, j) * y[j];
+    f[i] = acc;
+  }
+  out = capacity_.solve(f);
+}
+
 std::size_t RomTransientStepper::step(Vector& y, double t_next, double dt) {
   core::check_step_size("RomTransientStepper::step", dt);
   core::check_state_size("RomTransientStepper::step", y.size(), model_->rank_);
@@ -83,15 +118,9 @@ std::size_t RomTransientStepper::step(Vector& y, double t_next, double dt) {
   const double inv_dt = 1.0 / dt;
   const numeric::CholeskyFactorization& march = factor_for(dt);
 
-  // Implicit Euler samples the environment at the step's end time; the
-  // undriven path reuses the base right-hand side computed once.
+  // Implicit Euler samples the environment at the step's end time.
   Vector b_driven;
-  if (drive_.inputs) {
-    RomInputs in = drive_.inputs(t_next);
-    model_->check(in);
-    b_driven = model_->reduced_rhs(in);
-  }
-  const Vector& b = drive_.inputs ? b_driven : b_base_;
+  const Vector& b = rhs_at(t_next, b_driven);
 
   const std::size_t rank = model_->rank_;
   Vector rhs(rank, 0.0);

@@ -13,9 +13,11 @@
 // instead of a full-order CG solve.
 //
 // Step sizes may change freely between calls — (C_r/dt + A_r) is
-// re-factorized per distinct dt through a small exact-dt cache sized for
-// the step-doubling pattern of the adaptive march — so the same stepper
-// serves fixed-dt marches and the PI-controlled mission march.
+// re-factorized per distinct dt through a small exact-dt cache (the
+// adaptive TR-BDF2 march takes both stages of an attempt at one dt) — and
+// rate() solves with one Cholesky factor of C_r cached at construction, so
+// the same stepper serves fixed-dt marches and the PI-controlled mission
+// march.
 //
 // Determinism contract: all arithmetic is serial dense algebra over the
 // deterministic reduced operators, so marches are bit-identical across
@@ -70,6 +72,9 @@ class RomTransientStepper {
   /// `t_next`, solve (C_r/dt + A_r) y' = b + C_r/dt y. Returns 1 (one
   /// dense solve).
   std::size_t step(numeric::Vector& y, double t_next, double dt);
+  /// Reduced time derivative at mission time `t`: C_r^-1 (b(t) - A_r y),
+  /// with the inputs resolved through the drive at `t`.
+  void rate(const numeric::Vector& y, double t, numeric::Vector& out) const;
   /// Controller error metric: max-norm of the *reconstructed* field
   /// difference [K] — kelvin units, so one mission tolerance means the same
   /// thing at ROM and FV fidelity.
@@ -85,17 +90,22 @@ class RomTransientStepper {
 
  private:
   const numeric::CholeskyFactorization& factor_for(double dt);
+  /// Reduced right-hand side at mission time `t`: the drive-resolved
+  /// inputs projected into `scratch`, or the base right-hand side when
+  /// undriven.
+  const numeric::Vector& rhs_at(double t, numeric::Vector& scratch) const;
 
   std::shared_ptr<const RomModel> keepalive_;
   const RomModel* model_;
   RomInputs base_;
   RomDrive drive_;
   numeric::Vector b_base_;  ///< reduced_rhs(base_), reused when undriven
+  numeric::CholeskyFactorization capacity_;  ///< factor of C_r, for rate()
 
-  /// Exact-dt factorization ring: step-doubling touches at most two
-  /// distinct dts per attempt, fixed-dt marches one, so a handful of slots
-  /// gives every loop shape an O(1) hit path. Replacement is deterministic
-  /// round-robin.
+  /// Exact-dt factorization ring: a TR-BDF2 attempt takes both its stages at
+  /// one dt and fixed-dt marches use one, so a handful of slots gives every
+  /// loop shape an O(1) hit path, also across a rejection and its retry.
+  /// Replacement is deterministic round-robin.
   struct DtFactor {
     double dt = 0.0;
     numeric::CholeskyFactorization factor;

@@ -575,6 +575,16 @@ std::size_t FvTransientStepper::step(Vector& temps, double t_next, double dt,
   return lin.iterations;
 }
 
+void FvTransientStepper::rate(const Vector& temps, double t, Vector& out) {
+  core::check_state_size("FvTransientStepper::rate", temps.size(), capacity_.size());
+  model_->update_boundary_terms(ws_, temps, rhs_, drive_, t);
+  ws_.matrix.multiply(temps, out);
+  // A cell without capacity (rho cp = 0) is quasi-steady: it has no rate of
+  // its own, and each implicit step solves its balance outright.
+  for (std::size_t c = 0; c < out.size(); ++c)
+    out[c] = capacity_[c] > 0.0 ? (rhs_[c] - out[c]) / capacity_[c] : 0.0;
+}
+
 double FvTransientStepper::error_norm(const Vector& a, const Vector& b) const {
   // Serial max-norm: the controller metric must be bitwise independent of
   // the thread count (same contract as the march itself).

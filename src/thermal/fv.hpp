@@ -376,11 +376,12 @@ class FvModel {
 /// core::TransientSystem concept the unified transient engine
 /// (core/transient_engine.hpp) marches: step() advances an arbitrary field
 /// by an arbitrary dt — the capacity/dt term is applied per call, so the
-/// step size may change between calls without any re-assembly — which is
-/// exactly what step-doubling error control needs (one full step and two
-/// half steps over the same structure). The stepper owns a private
-/// workspace; the shared assembly is never mutated, so any number of
-/// steppers may run concurrently on one cached assembly from distinct
+/// step size may change between calls without any re-assembly — and rate()
+/// evaluates the field's time derivative on the same workspace, which is
+/// what the adaptive TR-BDF2 march needs (one rate and two implicit stages
+/// of the same size per attempt, over the same structure). The stepper owns
+/// a private workspace; the shared assembly is never mutated, so any number
+/// of steppers may run concurrently on one cached assembly from distinct
 /// ExecutionContexts.
 ///
 /// The referenced model must outlive the stepper and stay unmodified while
@@ -415,6 +416,10 @@ class FvTransientStepper {
   std::size_t step(numeric::Vector& temps, double t_next, double dt) {
     return step(temps, t_next, dt, drive_);
   }
+  /// Time derivative of `temps` at mission time `t`: (rhs - A T) / (rho cp V)
+  /// per cell, from the boundary rewrite without capacity (films
+  /// linearized at `temps`, drive resolved at `t`) plus one stencil SpMV.
+  void rate(const numeric::Vector& temps, double t, numeric::Vector& out);
   /// Controller error metric: serial max-norm field difference [K].
   double error_norm(const numeric::Vector& a, const numeric::Vector& b) const;
 

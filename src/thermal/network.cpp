@@ -221,6 +221,10 @@ double ThermalNetwork::node_heat_flow(NodeId id, const Vector& temps) const {
 
 // --- NetworkTransientStepper ------------------------------------------------
 
+namespace {
+constexpr double kCapFloor = 1e-6;  // quasi-steady nodes get a tiny capacitance [J/K]
+}  // namespace
+
 NetworkTransientStepper::NetworkTransientStepper(const ThermalNetwork& net,
                                                  const SteadyOptions& opts, NetworkDrive drive)
     : net_(&net),
@@ -247,8 +251,29 @@ void NetworkTransientStepper::apply_boundaries(double t, Vector& temps) const {
 
 double NetworkTransientStepper::error_norm(const Vector& a, const Vector& b) const {
   double err = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) err = std::max(err, std::fabs(a[i] - b[i]));
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!net_->nodes_[i].boundary) err = std::max(err, std::fabs(a[i] - b[i]));
   return err;
+}
+
+void NetworkTransientStepper::rate(const Vector& temps, double t, Vector& out) const {
+  core::check_state_size("NetworkTransientStepper::rate", temps.size(), net_->nodes_.size());
+  const auto& nodes = net_->nodes_;
+  Vector resolved = temps;
+  apply_boundaries(t, resolved);
+  const auto gv = net_->evaluate_conductances(resolved);
+  const double load_scale = drive_.load_scale ? drive_.load_scale(t) : 1.0;
+  out.assign(nodes.size(), 0.0);
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    if (!nodes[i].boundary) out[i] = nodes[i].load * load_scale;
+  for (std::size_t ci = 0; ci < net_->conductors_.size(); ++ci) {
+    const ThermalNetwork::Conductor& c = net_->conductors_[ci];
+    const double q = gv[ci] * (resolved[c.b] - resolved[c.a]);  // heat into a [W]
+    if (!nodes[c.a].boundary) out[c.a] += q;
+    if (!nodes[c.b].boundary) out[c.b] -= q;
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    if (!nodes[i].boundary) out[i] /= std::max(nodes[i].capacitance, kCapFloor);
 }
 
 std::size_t NetworkTransientStepper::step(Vector& temps, double t_next, double dt) {
@@ -256,8 +281,6 @@ std::size_t NetworkTransientStepper::step(Vector& temps, double t_next, double d
   core::check_state_size("NetworkTransientStepper::step", temps.size(), net_->nodes_.size());
   const auto& nodes = net_->nodes_;
   const auto& conductors = net_->conductors_;
-
-  constexpr double kCapFloor = 1e-6;  // quasi-steady nodes get a tiny capacitance
 
   static thread_local obs::CounterHandle transient_steps{"network.transient_steps"};
   static thread_local obs::CounterHandle transient_picard{"network.transient_picard_passes"};

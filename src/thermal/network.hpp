@@ -154,7 +154,14 @@ class NetworkTransientStepper {
   /// `temps` holds every node (boundary entries are overwritten with the
   /// drive-resolved values at `t_next`); returns the Picard pass count.
   std::size_t step(numeric::Vector& temps, double t_next, double dt);
-  /// Controller error metric: serial max-norm node difference [K].
+  /// Time derivative of every node at mission time `t`: the nodal balance
+  /// (scaled load plus conductor flows, with boundary neighbours and
+  /// nonlinear conductances resolved at `t`) over the node's capacitance;
+  /// 0 on boundary nodes, which the drive prescribes.
+  void rate(const numeric::Vector& temps, double t, numeric::Vector& out) const;
+  /// Controller error metric: serial max-norm difference over the diffusion
+  /// nodes [K]. Boundary nodes are prescribed by the drive, not integrated,
+  /// so they carry no error and are skipped.
   double error_norm(const numeric::Vector& a, const numeric::Vector& b) const;
 
   /// Resolve the boundary-node entries of `temps` at mission time `t`

@@ -33,11 +33,12 @@ using aeropack::numeric::Vector;
 namespace {
 
 /// Exact implicit Euler of dy/dt = -decay_rate * y: one scalar state, unit
-/// cost per step. `drive_jump(t)` optionally injects a discontinuous source
-/// so boundary-clamping behavior is observable.
+/// cost per step. `last_error` keeps the latest controller metric, so a
+/// test can read the adaptive march's error estimate.
 struct DecayStepper {
   double decay_rate = 0.1;
   std::vector<double> attempted_dts;
+  mutable double last_error = 0.0;
 
   std::size_t state_size() const { return 1; }
   std::size_t step(Vector& y, double /*t_next*/, double dt) {
@@ -45,7 +46,11 @@ struct DecayStepper {
     y[0] = y[0] / (1.0 + decay_rate * dt);
     return 1;
   }
-  double error_norm(const Vector& a, const Vector& b) const { return std::abs(a[0] - b[0]); }
+  void rate(const Vector& y, double /*t*/, Vector& out) const { out = {-decay_rate * y[0]}; }
+  double error_norm(const Vector& a, const Vector& b) const {
+    last_error = std::abs(a[0] - b[0]);
+    return last_error;
+  }
 };
 
 static_assert(ac::TransientSystem<DecayStepper>);
@@ -117,8 +122,130 @@ TEST(TransientEngine, AdaptiveMarchLandsOnEveryTransition) {
   EXPECT_NE(std::find(accepted.begin(), accepted.end(), 10.0), accepted.end());
   EXPECT_EQ(stats.boundary_landings, 1u);
   EXPECT_EQ(stats.steps_accepted, accepted.size());
-  // Step-doubling spends exactly three unit-cost stepper calls per attempt.
-  EXPECT_EQ(stats.step_cost, 3 * (stats.steps_accepted + stats.steps_rejected));
+  // TR-BDF2 spends exactly two unit-cost stepper calls per attempt.
+  EXPECT_EQ(stats.step_cost, 2 * (stats.steps_accepted + stats.steps_rejected));
+}
+
+namespace {
+
+/// One accepted TR-BDF2 attempt of size h on y' = -k y from y(0) = 1: the
+/// local error against exp(-k h) and the march's own estimate of it.
+struct OneAttempt {
+  double local_error = 0.0;
+  double estimate = 0.0;
+};
+
+OneAttempt one_attempt(double k, double h) {
+  DecayStepper s;
+  s.decay_rate = k;
+  Vector y{1.0};
+  ac::AdaptiveOptions opts;
+  opts.tolerance = 1.0;  // accept whatever the first attempt gives
+  opts.dt_initial = h;
+  opts.dt_min = h;
+  opts.dt_max = h;
+  const ac::MarchStats stats = ac::march_adaptive(
+      "engine-test", s, y, h, opts, [](double) { return 1e9; }, [](std::size_t) {},
+      [](double, const Vector&, bool) {}, [] {});
+  EXPECT_EQ(stats.steps_accepted, 1u);
+  EXPECT_EQ(s.attempted_dts.size(), 2u);
+  return {std::abs(y[0] - std::exp(-k * h)), s.last_error};
+}
+
+}  // namespace
+
+TEST(TransientEngine, AdaptiveStepIsSecondOrderWithATightEmbeddedEstimate) {
+  // Third-order local error: each halving of h divides it by ~8.
+  for (const double kh : {0.1, 0.05, 0.025}) {
+    const double coarse = one_attempt(1.0, kh).local_error;
+    const double fine = one_attempt(1.0, 0.5 * kh).local_error;
+    EXPECT_GE(coarse / fine, 7.5) << "kh " << kh;
+    EXPECT_LE(coarse / fine, 8.0) << "kh " << kh;
+  }
+  // The embedded estimate tracks the true local error within 10%, at any
+  // decay rate (only k h matters).
+  for (const double k : {0.1, 2.0}) {
+    for (const double kh : {0.25, 0.2, 0.1, 0.05, 0.01}) {
+      const OneAttempt a = one_attempt(k, kh / k);
+      EXPECT_GT(a.local_error, 0.0);
+      EXPECT_NEAR(a.estimate / a.local_error, 1.0, 0.1) << "k " << k << " kh " << kh;
+    }
+  }
+}
+
+namespace {
+
+/// rate() must be the derivative step() integrates: an implicit step of d
+/// from y_in ends where (y_out - y_in) / d = rate(y_out, t_next), which the
+/// adaptive march relies on to read each stage's derivative. Checked per
+/// entry relative to the largest rate.
+template <typename S>
+void expect_rate_matches_implicit_step(S& stepper, const Vector& y_in, double t_next, double d,
+                                       double rel_tol) {
+  Vector y_out = y_in;
+  stepper.step(y_out, t_next, d);
+  Vector r;
+  stepper.rate(y_out, t_next, r);
+  ASSERT_EQ(r.size(), y_in.size());
+  double scale = 0.0;
+  for (const double v : r) scale = std::max(scale, std::abs(v));
+  ASSERT_GT(scale, 0.0);
+  for (std::size_t i = 0; i < r.size(); ++i)
+    EXPECT_NEAR((y_out[i] - y_in[i]) / d, r[i], rel_tol * scale) << "entry " << i;
+}
+
+}  // namespace
+
+TEST(TransientEngine, EveryStepperRateIsTheDerivativeItsStepIntegrates) {
+  // FV: a slab with a source, a fixed film and a driven ambient.
+  at::FvModel fv(at::FvGrid::uniform(0.04, 0.02, 0.01, 4, 3, 2));
+  aeropack::materials::SolidMaterial mat;
+  mat.conductivity = 20.0;
+  mat.conductivity_through = 20.0;
+  mat.density = 2000.0;
+  mat.specific_heat = 800.0;
+  fv.set_material(fv.all_cells(), mat);
+  fv.add_power(fv.all_cells(), 3.0);
+  fv.set_boundary(at::Face::XMin, at::BoundaryCondition::convection(60.0, 300.0));
+  const am::Profile profile = am::Profile::do160_thermal_shock(228.15, 328.15, 40.0, 60.0);
+  const at::FvDrive drive = am::drive_for(profile);
+  at::FvTransientStepper fv_stepper(fv);
+  fv_stepper.set_drive(&drive);
+  Vector field(fv.grid().cell_count());
+  for (std::size_t c = 0; c < field.size(); ++c) field[c] = 290.0 + static_cast<double>(c % 7);
+  expect_rate_matches_implicit_step(fv_stepper, field, 75.0, 2.0, 1e-6);
+
+  // Network: the diffusion nodes integrate, the boundary node is prescribed
+  // and has no rate of its own.
+  at::ThermalNetwork net;
+  const at::NodeId a = net.add_node("a", 100.0);
+  const at::NodeId b = net.add_node("b", 40.0);
+  const at::NodeId amb = net.add_boundary("amb", 300.0);
+  net.add_conductor(a, b, 2.0);
+  net.add_conductor(b, amb, 1.5);
+  net.add_heat_load(a, 10.0);
+  at::NetworkTransientStepper net_stepper(net, {}, am::drive_for_network(profile));
+  Vector nodes{310.0, 305.0, 300.0};
+  Vector net_rate;
+  net_stepper.rate(nodes, 75.0, net_rate);
+  EXPECT_EQ(net_rate[amb], 0.0);
+  Vector net_out = nodes;
+  net_stepper.step(net_out, 75.0, 2.0);
+  net_stepper.rate(net_out, 75.0, net_rate);
+  for (const at::NodeId i : {a, b})
+    EXPECT_NEAR((net_out[i] - nodes[i]) / 2.0, net_rate[i], 1e-9) << "node " << i;
+
+  // ROM: the reduced coordinates of the Fig. 2 board under a driven sink.
+  const ar::CanonicalCase cc = ar::fig2_board();
+  ar::RomOptions rom_opts;
+  rom_opts.rank = 3;
+  const ar::RomModel rom = ar::build_rom(cc.model, cc.spec, rom_opts);
+  ar::RomInputs inputs;
+  inputs.sink_temperatures = {300.0, 300.0, 300.0};
+  inputs.map_powers = {5.0, 5.0};
+  ar::RomTransientStepper rom_stepper(rom, inputs, am::drive_for_rom(profile, inputs));
+  expect_rate_matches_implicit_step(rom_stepper, rom_stepper.initial_state(300.0), 75.0, 2.0,
+                                    1e-9);
 }
 
 TEST(TransientEngine, AdaptiveMarchRejectsAndShrinksOnRoughError) {

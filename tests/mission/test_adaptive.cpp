@@ -1,4 +1,4 @@
-// Adaptive PI step-doubling controller: accuracy against a fine fixed-dt
+// Adaptive PI-controlled TR-BDF2 march: accuracy against a fine fixed-dt
 // reference at a fraction of the implicit solves, phase-boundary clamping,
 // rejection behavior on square-wave discontinuities and input validation.
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exec/context.hpp"
 #include "materials/solid.hpp"
 #include "mission/profile.hpp"
 #include "mission/transient.hpp"
@@ -55,15 +56,17 @@ TEST(MissionAdaptive, MeetsToleranceWithFewerStepsThanFixedDt) {
 
   am::AdaptiveOptions adaptive;
   adaptive.tolerance = 0.05;
-  const am::MissionSolution sol = am::run_fv_mission(m, profile, 300.0, adaptive);
+  aeropack::ExecutionContext ctx(aeropack::ExecutionConfig{1, true});
+  const am::MissionSolution sol = am::run_fv_mission(ctx, m, profile, 300.0, adaptive);
 
   EXPECT_GT(sol.steps_accepted, 0u);
   // Accuracy: the adaptive horizon field sits within a few tolerances of
   // the fine reference.
   EXPECT_LT(max_abs_diff(sol.final_field, ref.temperatures.back()), 10.0 * adaptive.tolerance);
-  // Economy: step-doubling costs 3 implicit solves per attempt; even so the
-  // adaptive march undercuts the fixed-dt solve count decisively.
-  const std::size_t solves = 3 * (sol.steps_accepted + sol.steps_rejected);
+  // Economy: the implicit solves the stepper counted, over every attempt
+  // (two per attempt), undercut the fixed-dt solve count decisively.
+  const std::size_t solves = ctx.metrics().counters().at("fv.transient_steps");
+  EXPECT_EQ(solves, 2 * (sol.steps_accepted + sol.steps_rejected));
   EXPECT_LT(solves, ref_steps / 2) << "accepted " << sol.steps_accepted << " rejected "
                                    << sol.steps_rejected;
   // Trace bookkeeping: one row per accepted step plus the initial state.

@@ -73,3 +73,16 @@ TEST(MissionDriverNetwork, LoadScaleDutyCyclesDissipation) {
   const at::TransientSolution held = r.net.solve_transient(4000.0, 20.0, initial);
   EXPECT_NEAR(held.temperatures.back()[r.box], 316.0, 1e-6);
 }
+
+TEST(MissionDriverNetwork, ErrorNormIgnoresBoundaryNodes) {
+  // Boundary nodes follow the drive, so two candidate states may differ
+  // there without any integration error; only diffusion nodes count.
+  const Rig r = make_rig();
+  const at::NetworkTransientStepper stepper(r.net);
+  aeropack::numeric::Vector a(r.net.node_count(), 300.0);
+  aeropack::numeric::Vector b = a;
+  b[r.sink] = 420.0;
+  EXPECT_EQ(stepper.error_norm(a, b), 0.0);
+  b[r.box] = 300.25;
+  EXPECT_EQ(stepper.error_norm(a, b), 0.25);
+}

@@ -78,7 +78,7 @@ TEST(MissionFidelity, AdaptiveNetworkMarchSpendsFewerSolvesThanFixedDt) {
 
   // Fewer implicit solves: the fixed march spends at least one Picard pass
   // per step, so beating its step count strictly beats its solve count even
-  // though the adaptive march pays 3 stepper calls per attempt.
+  // though the adaptive march pays 2 stepper calls per attempt.
   EXPECT_LT(sol.implicit_solves, fixed_steps)
       << sol.steps_accepted << " accepted / " << sol.steps_rejected << " rejected";
   EXPECT_GT(sol.steps_accepted, 0u);

@@ -50,22 +50,25 @@ am::Profile shock_profile() {
   return am::Profile::do160_thermal_shock(263.15, 333.15, 40.0, 60.0);
 }
 
-/// March the driven stepper through the step-doubling dt pattern the
-/// adaptive controller produces (full step + two halves, dt varying per
-/// attempt) and return the final reduced state.
+/// March the driven stepper through the call pattern the adaptive TR-BDF2
+/// controller produces (one rate and two implicit stages of one size per
+/// attempt, the size varying between attempts) and return the final
+/// reduced state.
 Vector adaptive_shaped_march(const ar::RomModel& rom, const am::Profile& profile) {
   ar::RomTransientStepper stepper(rom, board_inputs(),
                                   am::drive_for_rom(profile, board_inputs()));
   Vector y = stepper.initial_state(293.15);
+  Vector r;
   double t = 0.0;
-  double dt = 3.0;
+  double h = 6.0;
   for (int attempt = 0; attempt < 40; ++attempt) {
-    stepper.step(y, t + dt, dt);
-    const double h2 = 0.5 * dt;
-    stepper.step(y, t + dt + h2, h2);
-    stepper.step(y, t + 2.0 * dt, dt - h2);
-    t += 2.0 * dt;
-    dt = (attempt % 3 == 0) ? dt * 1.5 : dt * 0.7;
+    const double d = 0.29 * h;
+    stepper.rate(y, t, r);
+    for (std::size_t k = 0; k < y.size(); ++k) y[k] += d * r[k];
+    stepper.step(y, t + 0.59 * h, d);
+    stepper.step(y, t + h, d);
+    t += h;
+    h = (attempt % 3 == 0) ? h * 1.5 : h * 0.7;
   }
   return y;
 }
