@@ -223,11 +223,11 @@ std::size_t Frame3D::global_dof(std::size_t node, std::size_t dof) const {
   return node * 6 + dof;
 }
 
-void Frame3D::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) const {
+void Frame3D::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix* m) const {
   const std::size_t n = map.free_count();
   SparseAssembler ka(n, n), ma(n, n);
   ka.reserve(144 * beams_.size() + n);
-  ma.reserve(144 * beams_.size() + 3 * masses_.size() + n);
+  if (m) ma.reserve(144 * beams_.size() + 3 * masses_.size() + n);
 
   std::vector<std::size_t> dofs(12);
   for (const Beam& b : beams_) {
@@ -237,28 +237,26 @@ void Frame3D::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) const 
                                std::pow(p2.z - p1.z, 2.0));
     const Matrix t = beam3d_transformation(p1.x, p1.y, p1.z, p2.x, p2.y, p2.z);
     const Matrix ke = t.transposed() * beam3d_stiffness_local(b.mat, b.section, l) * t;
-    const Matrix me = t.transposed() * beam3d_mass_local(b.mat, b.section, l) * t;
     for (std::size_t d = 0; d < 6; ++d) {
       dofs[d] = b.n1 * 6 + d;
       dofs[6 + d] = b.n2 * 6 + d;
     }
     dofs = map.map_dofs(dofs);
     ka.scatter(dofs, ke);
-    ma.scatter(dofs, me);
+    if (m) ma.scatter(dofs, t.transposed() * beam3d_mass_local(b.mat, b.section, l) * t);
   }
+  // Explicit structural diagonal (zero-valued; sums unchanged) so the
+  // massless-DOF clamp and the skyline factorization always find it.
+  for (std::size_t i = 0; i < n; ++i) ka.add(i, i, 0.0);
+  k = ka.finalize();
+  if (!m) return;
   for (const auto& [node, mass] : masses_)
     for (std::size_t d = 0; d < 3; ++d) {
       const std::size_t g = map.to_free(node * 6 + d);
       if (g != DofMap::kFixed) ma.add(g, g, mass);
     }
-  // Explicit structural diagonal (zero-valued; sums unchanged) so the
-  // massless-DOF clamp and the skyline factorization always find it.
-  for (std::size_t i = 0; i < n; ++i) {
-    ka.add(i, i, 0.0);
-    ma.add(i, i, 0.0);
-  }
-  k = ka.finalize();
-  m = ma.finalize();
+  for (std::size_t i = 0; i < n; ++i) ma.add(i, i, 0.0);
+  *m = ma.finalize();
 }
 
 DofMap Frame3D::dof_map() const {
@@ -272,7 +270,7 @@ DofMap Frame3D::dof_map() const {
 
 void Frame3D::reduced_sparse(CsrMatrix& k, CsrMatrix& m) const {
   const DofMap map = dof_map();
-  assemble_csr(map, k, m);
+  assemble_csr(map, k, &m);
   // Guard against massless DOFs (rotations of a lumped-mass-only node):
   // a tiny inertia keeps M positive definite.
   clamp_massless_diagonal(m);
@@ -281,8 +279,8 @@ void Frame3D::reduced_sparse(CsrMatrix& k, CsrMatrix& m) const {
 Vector Frame3D::solve_static(const Vector& loads) const {
   if (loads.size() != dof_count()) throw std::invalid_argument("solve_static: load size");
   const DofMap dmap = dof_map();
-  CsrMatrix k, m;
-  assemble_csr(dmap, k, m);
+  CsrMatrix k;
+  assemble_csr(dmap, k, nullptr);
   return dmap.expand(solve_reduced_static(k, dmap.reduce(loads), "Frame3D::solve_static"));
 }
 

@@ -79,8 +79,8 @@ class Frame3D {
     Section3D section;
   };
   /// Scatter all elements into sparse assemblers, dropping the DOFs `map`
-  /// fixes.
-  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
+  /// fixes. A null `m` assembles K alone (static solves).
+  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix* m) const;
   void check_node(std::size_t n) const;
 
   std::vector<Coord> coords_;

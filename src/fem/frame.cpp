@@ -83,11 +83,11 @@ DofMap FrameModel::dof_map() const {
   return map;
 }
 
-void FrameModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) const {
+void FrameModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix* m) const {
   const std::size_t n = map.free_count();
   SparseAssembler ka(n, n), ma(n, n);
   ka.reserve(36 * beams_.size() + 4 * springs_.size() + n);
-  ma.reserve(36 * beams_.size() + 3 * masses_.size() + n);
+  if (m) ma.reserve(36 * beams_.size() + 3 * masses_.size() + n);
 
   std::vector<std::size_t> dofs(6);
   for (const Beam& b : beams_) {
@@ -97,12 +97,11 @@ void FrameModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) con
     const double angle = std::atan2(dy, dx);
     const Matrix t = beam_transformation(angle);
     const Matrix ke = t.transposed() * beam_stiffness_local(b.e, b.section, l) * t;
-    const Matrix me = t.transposed() * beam_mass_local(b.rho, b.section, l) * t;
     dofs = {global_dof(b.n1, Dof::Ux), global_dof(b.n1, Dof::Uy), global_dof(b.n1, Dof::Rz),
             global_dof(b.n2, Dof::Ux), global_dof(b.n2, Dof::Uy), global_dof(b.n2, Dof::Rz)};
     dofs = map.map_dofs(dofs);
     ka.scatter(dofs, ke);
-    ma.scatter(dofs, me);
+    if (m) ma.scatter(dofs, t.transposed() * beam_mass_local(b.rho, b.section, l) * t);
   }
   for (const Spring& s : springs_) {
     const std::size_t a = map.to_free(global_dof(s.n1, s.dof));
@@ -118,6 +117,12 @@ void FrameModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) con
       }
     }
   }
+  // Explicit structural diagonal (zero-valued, so sums are unchanged): the
+  // massless-DOF guard and the skyline factorization need every diagonal
+  // entry present even when no element touches it.
+  for (std::size_t i = 0; i < n; ++i) ka.add(i, i, 0.0);
+  k = ka.finalize();
+  if (!m) return;
   for (const PointMass& pm : masses_) {
     const std::size_t ux = map.to_free(global_dof(pm.node, Dof::Ux));
     const std::size_t uy = map.to_free(global_dof(pm.node, Dof::Uy));
@@ -126,20 +131,13 @@ void FrameModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) con
     if (uy != DofMap::kFixed) ma.add(uy, uy, pm.mass);
     if (rz != DofMap::kFixed) ma.add(rz, rz, pm.inertia);
   }
-  // Explicit structural diagonal (zero-valued, so sums are unchanged): the
-  // massless-DOF guard and the skyline factorization need every diagonal
-  // entry present even when no element touches it.
-  for (std::size_t i = 0; i < n; ++i) {
-    ka.add(i, i, 0.0);
-    ma.add(i, i, 0.0);
-  }
-  k = ka.finalize();
-  m = ma.finalize();
+  for (std::size_t i = 0; i < n; ++i) ma.add(i, i, 0.0);
+  *m = ma.finalize();
 }
 
 void FrameModel::reduced_sparse(CsrMatrix& k, CsrMatrix& m) const {
   const DofMap map = dof_map();
-  assemble_csr(map, k, m);
+  assemble_csr(map, k, &m);
   // Guard against massless DOFs (e.g. rotation of a node carried only by
   // springs): add a tiny inertia so M stays positive definite.
   clamp_massless_diagonal(m);
@@ -158,8 +156,8 @@ void FrameModel::reduced_system(Matrix& k, Matrix& m,
 Vector FrameModel::solve_static(const Vector& loads) const {
   if (loads.size() != dof_count()) throw std::invalid_argument("solve_static: load size");
   const DofMap dmap = dof_map();
-  CsrMatrix k, m;
-  assemble_csr(dmap, k, m);
+  CsrMatrix k;
+  assemble_csr(dmap, k, nullptr);
   return dmap.expand(solve_reduced_static(k, dmap.reduce(loads), "FrameModel::solve_static"));
 }
 

@@ -105,8 +105,9 @@ class FrameModel {
 
   void check_node(std::size_t n) const;
   /// Scatter all elements (beams, springs, lumped masses) into sparse
-  /// assemblers, discarding the DOFs `map` fixes: the reduced pencil.
-  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
+  /// assemblers, discarding the DOFs `map` fixes: the reduced pencil. A null
+  /// `m` assembles K alone (static solves).
+  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix* m) const;
 
   std::vector<Node> nodes_;
   std::vector<Beam> beams_;

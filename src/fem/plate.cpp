@@ -199,11 +199,11 @@ double PlateModel::total_mass() const {
   return m;
 }
 
-void PlateModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) const {
+void PlateModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix* m) const {
   const std::size_t n = map.free_count();
   SparseAssembler ka(n, n), ma(n, n);
   ka.reserve(144 * nx_ * ny_ + n);
-  ma.reserve(144 * nx_ * ny_ + point_masses_.size() + n);
+  if (m) ma.reserve(144 * nx_ * ny_ + point_masses_.size() + n);
 
   const double a = lx_ / static_cast<double>(nx_);
   const double b = ly_ / static_cast<double>(ny_);
@@ -212,7 +212,8 @@ void PlateModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) con
 
   // The mesh is uniform, so elements share matrices whenever their doubler
   // factors coincide; cache per (stiffness factor, mass factor) pair. With
-  // no doublers the whole mesh uses a single pair.
+  // no doublers the whole mesh uses a single pair. Without `m` the mass
+  // half stays empty.
   std::map<std::pair<double, double>, std::pair<Matrix, Matrix>> cache;
 
   std::vector<std::size_t> dofs(12);
@@ -233,28 +234,27 @@ void PlateModel::assemble_csr(const DofMap& map, CsrMatrix& k, CsrMatrix& m) con
                  .emplace(std::make_pair(dfac, mfac),
                           std::make_pair(
                               acm_plate_stiffness(a, b, d0 * dfac, material_.poisson_ratio),
-                              acm_plate_mass(a, b, mpa0 * mfac)))
+                              m ? acm_plate_mass(a, b, mpa0 * mfac) : Matrix{}))
                  .first;
       const std::size_t nodes[4] = {node_index(ei, ej), node_index(ei + 1, ej),
                                     node_index(ei + 1, ej + 1), node_index(ei, ej + 1)};
       for (std::size_t i = 0; i < 12; ++i) dofs[i] = 3 * nodes[i / 3] + i % 3;
       dofs = map.map_dofs(dofs);
       ka.scatter(dofs, it->second.first);
-      ma.scatter(dofs, it->second.second);
+      if (m) ma.scatter(dofs, it->second.second);
     }
 
+  // Explicit structural diagonal (zero-valued; sums unchanged) so the
+  // massless-DOF clamp and the skyline factorization always find it.
+  for (std::size_t i = 0; i < n; ++i) ka.add(i, i, 0.0);
+  k = ka.finalize();
+  if (!m) return;
   for (const auto& [node, mass] : point_masses_) {
     const std::size_t w = map.to_free(3 * node);
     if (w != DofMap::kFixed) ma.add(w, w, mass);
   }
-  // Explicit structural diagonal (zero-valued; sums unchanged) so the
-  // massless-DOF clamp and the skyline factorization always find it.
-  for (std::size_t i = 0; i < n; ++i) {
-    ka.add(i, i, 0.0);
-    ma.add(i, i, 0.0);
-  }
-  k = ka.finalize();
-  m = ma.finalize();
+  for (std::size_t i = 0; i < n; ++i) ma.add(i, i, 0.0);
+  *m = ma.finalize();
 }
 
 DofMap PlateModel::dof_map() const {
@@ -283,13 +283,13 @@ DofMap PlateModel::dof_map() const {
 
 void PlateModel::reduced_sparse(CsrMatrix& k, CsrMatrix& m) const {
   const DofMap map = dof_map();
-  assemble_csr(map, k, m);
+  assemble_csr(map, k, &m);
 }
 
 PlateModalResult PlateModel::solve_modal(const ModalOptions& opts) const {
   const DofMap dmap = dof_map();
   CsrMatrix k, m;
-  assemble_csr(dmap, k, m);
+  assemble_csr(dmap, k, &m);
   const ReducedModes modes = solve_reduced_modes(k, m, opts);
   const std::size_t nr = dmap.free_count();
   const std::size_t nm = modes.eigenvalues.size();
@@ -317,8 +317,8 @@ PlateModalResult PlateModel::solve_modal(const ModalOptions& opts) const {
 
 numeric::Vector PlateModel::solve_static_pressure(double pressure) const {
   const DofMap dmap = dof_map();
-  CsrMatrix k, m;
-  assemble_csr(dmap, k, m);
+  CsrMatrix k;
+  assemble_csr(dmap, k, nullptr);
 
   // Consistent load: lump the pressure tributary area onto the w DOFs
   // (exact for uniform meshes to the order of the element).

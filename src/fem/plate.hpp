@@ -98,8 +98,9 @@ class PlateModel {
 
  private:
   /// Scatter all plate elements and point masses into sparse assemblers,
-  /// dropping the DOFs `map` fixes.
-  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix& m) const;
+  /// dropping the DOFs `map` fixes. A null `m` assembles K alone (static
+  /// solves).
+  void assemble_csr(const DofMap& map, numeric::CsrMatrix& k, numeric::CsrMatrix* m) const;
 
   double lx_, ly_, thickness_;
   materials::SolidMaterial material_;
