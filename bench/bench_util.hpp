@@ -109,22 +109,25 @@ inline std::string bench_name(const char* argv0) {
   return name;
 }
 
-/// Standard main body: print the table, run the registered benchmarks, then
-/// write the run report if one was requested. An escaping exception becomes a
-/// nonzero exit with the message on stderr — CI needs red, not a bench that
-/// dies mid-print with status 0 lost in a pipe.
+/// Standard main body: print the table, write the run report if one was
+/// requested, then run the registered benchmarks. The report covers the
+/// table's solves only: the google-benchmark loops run as many iterations
+/// as their timing needs, so counters captured after them would differ from
+/// run to run. An escaping exception becomes a nonzero exit with the message
+/// on stderr — CI needs red, not a bench that dies mid-print with status 0
+/// lost in a pipe.
 inline int run(int argc, char** argv, void (*print_report)()) try {
   const std::string report_path = extract_report_path(argc, argv);
   const std::string name = bench_name(argc > 0 ? argv[0] : nullptr);
   print_report();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   if (!report_path.empty()) {
     aeropack::obs::Report::capture(name, aeropack::numeric::thread_count()).write(report_path);
     std::printf("  run report written to %s\n", report_path.c_str());
   }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
   return 0;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "bench failed: %s\n", e.what());
