@@ -454,18 +454,20 @@ int main(int argc, char** argv) try {
   // cached at 1 worker (the deterministic run whose cache counters CI
   // gates), cached at several workers (throughput), and cache-less at 1
   // worker (the cold baseline the cached run must beat and match to the
-  // bit). Each 1-worker side is timed as the median of kTimedRuns runs on
-  // fresh services, alternating which side goes first, so one slow run on a
-  // noisy host cannot decide the speedup. Smoke self-gates: hit rate >= 0.5,
-  // speedup >= 2x, bitwise equal.
+  // bit). Each 1-worker side is timed as the median of `timed_runs` runs on
+  // fresh services, alternating which side goes first, so slow runs on a
+  // noisy host cannot decide the speedup. A smoke run lasts ~0.1 s cached,
+  // so smoke takes the median of 11; the full campaign's runs last seconds
+  // and 3 suffice. Smoke self-gates: hit rate >= 0.5, speedup >= 2x,
+  // bitwise equal.
   std::printf("\n----------------------------------------------------------------\n");
   std::printf("campaign: %zu design points via core::ScenarioService\n", campaign_points);
   std::printf("----------------------------------------------------------------\n");
   const std::vector<ac::ScenarioSpec> campaign = make_campaign(campaign_points);
 
-  constexpr int kTimedRuns = 3;
+  const int timed_runs = smoke ? 11 : 3;
   std::vector<CampaignRun> cached_runs, plain_runs;
-  for (int r = 0; r < kTimedRuns; ++r) {
+  for (int r = 0; r < timed_runs; ++r) {
     const bool cached_first = r % 2 == 0;
     for (const bool use_cache : {cached_first, !cached_first})
       (use_cache ? cached_runs : plain_runs).push_back(run_campaign(campaign, 1, use_cache));
@@ -515,9 +517,9 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(sstats.dedup_hits),
               static_cast<unsigned long long>(sstats.submitted));
   std::printf("  cached   w=1:  %7.2f s, %9.1f scenarios/sec (median of %d)\n", cached_secs,
-              cached_rate, kTimedRuns);
+              cached_rate, timed_runs);
   std::printf("  no-cache w=1:  %7.2f s, %9.1f scenarios/sec (median of %d)\n", plain_secs,
-              plain_rate, kTimedRuns);
+              plain_rate, timed_runs);
   std::printf("  cached   w=%zu:  %7.2f s, %9.1f scenarios/sec\n", campaign_workers, wide.seconds,
               wide.seconds > 0.0 ? static_cast<double>(campaign.size()) / wide.seconds : 0.0);
   std::printf("  campaign headline: %.2fx scenarios/sec over no-cache at 1 worker\n\n", speedup);
