@@ -114,6 +114,22 @@ TEST(MissionAdaptive, SquareWaveForcesRejectionsAndRecovers) {
   EXPECT_LT(*std::min_element(sol.t_min.begin(), sol.t_min.end()), 290.0);
 }
 
+TEST(MissionAdaptive, CellsWithoutCapacityMarchQuasiSteadily) {
+  // A layer of a material with no heat capacity (density left at 0) has no
+  // rate of its own: each stage solves its balance outright, and the march
+  // stays finite through the ramp.
+  at::FvModel m = make_slab();
+  aeropack::materials::SolidMaterial film;
+  film.conductivity = 5.0;
+  film.conductivity_through = 5.0;
+  m.set_material(at::CellRange{0, 6, 0, 4, 2, 3}, film);
+  const am::Profile profile = shock_profile();
+  const am::MissionSolution sol = am::run_fv_mission(m, profile, 300.0);
+  EXPECT_DOUBLE_EQ(sol.times.back(), profile.total_duration());
+  for (const double v : sol.final_field) EXPECT_TRUE(std::isfinite(v));
+  EXPECT_GT(sol.t_max.back(), 340.0);
+}
+
 TEST(MissionAdaptive, ValidatesInputs) {
   const at::FvModel m = make_slab();
   const am::Profile profile = shock_profile();
