@@ -493,10 +493,14 @@ void RomModel::activate_rank(std::size_t r) {
                                 " exceeds the usable basis rank " +
                                 std::to_string(info_.usable_rank));
   rank_ = r;
-  Matrix a(r, r);
-  for (std::size_t i = 0; i < r; ++i)
-    for (std::size_t j = 0; j < r; ++j) a(i, j) = a_r_(i, j);
-  steady_factor_.emplace(a);
+  steady_factor_.emplace(leading_block(a_r_, r));
+}
+
+Matrix RomModel::leading_block(const Matrix& m, std::size_t rank) {
+  Matrix block(rank, rank);
+  for (std::size_t i = 0; i < rank; ++i)
+    for (std::size_t j = 0; j < rank; ++j) block(i, j) = m(i, j);
+  return block;
 }
 
 RomModel RomModel::at_rank(std::size_t r) const {

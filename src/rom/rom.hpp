@@ -189,6 +189,9 @@ class RomModel {
   friend class RomTransientStepper;
   RomModel() = default;
   void activate_rank(std::size_t r);
+  /// The leading rank x rank block of a reduced operator: the model projects
+  /// at its usable rank and solves at the (possibly smaller) active rank.
+  static numeric::Matrix leading_block(const numeric::Matrix& m, std::size_t rank);
   void check(const RomInputs& inputs) const;
   numeric::Vector reduced_rhs(const RomInputs& inputs) const;
   void port_outputs(const numeric::Vector& y, const RomInputs& inputs,

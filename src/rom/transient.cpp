@@ -15,15 +15,6 @@ namespace {
 /// Factorization ring capacity: the adaptive march uses one dt per attempt
 /// and fixed-dt marches one in all.
 constexpr std::size_t kMaxDtFactors = 6;
-
-/// The leading rank x rank block of a reduced operator: the model projects
-/// at its usable rank and marches at the (possibly smaller) active rank.
-Matrix leading_block(const Matrix& m, std::size_t rank) {
-  Matrix block(rank, rank);
-  for (std::size_t i = 0; i < rank; ++i)
-    for (std::size_t j = 0; j < rank; ++j) block(i, j) = m(i, j);
-  return block;
-}
 }  // namespace
 
 RomTransientStepper::RomTransientStepper(const RomModel& model, RomInputs base_inputs,
@@ -31,7 +22,7 @@ RomTransientStepper::RomTransientStepper(const RomModel& model, RomInputs base_i
     : model_(&model),
       base_(std::move(base_inputs)),
       drive_(std::move(drive)),
-      capacity_(leading_block(model.c_r_, model.rank_)) {
+      capacity_(RomModel::leading_block(model.c_r_, model.rank_)) {
   static thread_local obs::CounterHandle evals{"rom.transient_evals"};
   model_->check(base_);
   evals.add();
